@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-runner bench-pipeline bench-train bench-serve bench-scale verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-runner bench-pipeline bench-serve bench-scale verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -54,12 +54,6 @@ bench-pipeline:
 	PYTHONPATH=src python -m repro.perf.bench --out BENCH_pipeline.json \
 		--compare benchmarks/baselines/pre_trainer_pipeline.json
 
-# Trainer-mode micro-bench on captured real problems -> BENCH_train.json
-# (monolithic vs bucketed vs 2-worker E-step vs SGD, plus the
-# exact-path bit-identity verdict).
-bench-train:
-	PYTHONPATH=src python -m repro.perf.bench_train --out BENCH_train.json
-
 # Serve-path bench over real HTTP: p50/p99 latency + throughput at 8
 # concurrent clients, plus shed/quarantine/breaker counters under an
 # overload burst and a seeded chaos phase -> BENCH_serve.json.
@@ -74,9 +68,10 @@ bench-scale:
 	PYTHONPATH=src python -m repro.perf.bench_scale --out BENCH_scale.json
 
 # Tier-1 suite plus the serve chaos acceptance, the environment-fault
-# acceptance, a one-pass small-corpus bench smoke and the
+# acceptance, a one-pass small-corpus bench smoke, the
 # sharded-vs-monolithic bit-identity gate (streamed runs with the prep
-# cache cold, warm and disabled): the quick pre-merge gate.
+# cache cold, warm and disabled) and the benchmark's smoke tests:
+# the quick pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -84,6 +79,7 @@ verify:
 	PYTHONPATH=src python -m repro.perf.bench --out /tmp/BENCH_smoke.json \
 		--products 40 --iterations 2 --repeats 1
 	PYTHONPATH=src python -m repro.perf.bench_scale --smoke
+	PYTHONPATH=src python -m pytest bench/tests -q
 
 examples:
 	python examples/quickstart.py

@@ -125,22 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "becomes a structured Timeout failure instead of a stuck sweep",
     )
     run.add_argument(
-        "--tag-batch-size", type=int, default=None, metavar="N",
-        help="sentences per padded Viterbi batch at tag time "
-        "(output-identical for any N >= 1; default 64)",
-    )
-    run.add_argument(
-        "--trainer", choices=("lbfgs", "sgd"), default=None,
-        help="CRF trainer: lbfgs (exact, the paper's crfsuite "
-        "setting; default) or sgd (opt-in minibatch Adagrad fast "
-        "mode — deterministic but approximate)",
-    )
-    run.add_argument(
-        "--estep-workers", type=int, default=None, metavar="N",
-        help="worker processes for the CRF training E-step fan-out "
-        "(output-identical for any N >= 1; default 1)",
-    )
-    run.add_argument(
         "--bench-out", metavar="PATH", default=None,
         help="write per-stage wall-clock timings and feature-cache "
         "hit/miss counters to this JSON file",
@@ -359,21 +343,11 @@ def _print_containment(result) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    from .config import CrfConfig, IngestConfig
+    from .config import IngestConfig
 
     categories = [
         name.strip() for name in args.category.split(",") if name.strip()
     ]
-    # Bad CRF knobs (--tag-batch-size, --trainer, --estep-workers)
-    # raise ConfigError right here, before any dataset generation.
-    crf_kwargs = {}
-    if args.tag_batch_size is not None:
-        crf_kwargs["tag_batch_size"] = args.tag_batch_size
-    if args.trainer is not None:
-        crf_kwargs["trainer"] = args.trainer
-    if args.estep_workers is not None:
-        crf_kwargs["estep_workers"] = args.estep_workers
-    crf = CrfConfig(**crf_kwargs)
     ingest_kwargs = {}
     if args.ingest_policy is not None:
         ingest_kwargs["policy"] = args.ingest_policy
@@ -388,7 +362,6 @@ def _command_run(args: argparse.Namespace) -> int:
         enable_prep_cache=not args.no_prep_cache,
         memory_budget_mb=args.memory_budget,
         pool_workers=args.pool_workers,
-        crf=crf,
         ingest=IngestConfig(**ingest_kwargs),
     )
     if args.stream:

@@ -98,12 +98,6 @@ class SemanticConfig:
     embedding_window: int = 3
     embedding_negatives: int = 4
     min_core_attribute_values: int = 3
-    #: Resume each iteration's word2vec training from the previous
-    #: iteration's vectors (deterministic, but a different — usually
-    #: better-converged — optimisation start than cold random init).
-    #: Off by default: a checkpoint-resumed run has no previous model
-    #: in memory, and resume must stay bit-identical to uninterrupted.
-    warm_start_embeddings: bool = False
 
     def __post_init__(self) -> None:
         if self.core_size < 0:
@@ -323,26 +317,6 @@ class CrfConfig:
     l2: float = 0.05
     max_iterations: int = 60
     min_feature_count: int = 1
-    #: Sentences per padded Viterbi batch at tag time. Sentences are
-    #: length-bucketed first, so each batch is nearly rectangular;
-    #: decoding is per-sentence independent, making any batch size
-    #: output-identical to one monolithic batch.
-    tag_batch_size: int = 64
-    #: ``"lbfgs"`` (exact, the paper's crfsuite setting) or ``"sgd"``
-    #: (opt-in minibatch Adagrad fast mode — deterministic but
-    #: approximate; see repro.ml.crf.train).
-    trainer: str = "lbfgs"
-    #: Unique sentences per training E-step bucket. Output-identical
-    #: for the exact trainer at any value (canonical reductions);
-    #: smaller buckets only matter for parallel E-step fan-out.
-    train_batch_size: int = 512
-    #: Worker processes for the per-bucket E-step (1 = serial; any
-    #: count is output-identical — the merge is deterministic).
-    estep_workers: int = 1
-    #: Bucket size (= minibatch size) for ``trainer="sgd"``.
-    sgd_batch_size: int = 32
-    #: Adagrad step size for ``trainer="sgd"``.
-    sgd_learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -351,18 +325,6 @@ class CrfConfig:
             raise ConfigError("regularisation strengths must be >= 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.tag_batch_size < 1:
-            raise ConfigError("tag_batch_size must be >= 1")
-        if self.trainer not in ("lbfgs", "sgd"):
-            raise ConfigError("trainer must be 'lbfgs' or 'sgd'")
-        if self.train_batch_size < 1:
-            raise ConfigError("train_batch_size must be >= 1")
-        if self.estep_workers < 1:
-            raise ConfigError("estep_workers must be >= 1")
-        if self.sgd_batch_size < 1:
-            raise ConfigError("sgd_batch_size must be >= 1")
-        if self.sgd_learning_rate <= 0:
-            raise ConfigError("sgd_learning_rate must be > 0")
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,7 +57,6 @@ from .tagger import make_tagger
 from .text import PageText, corpus_token_sentences, tokenize_pages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..embeddings import Word2Vec
     from ..runtime.checkpoint import CheckpointStore
     from ..runtime.faults import FaultPlan
 
@@ -338,8 +337,7 @@ class Bootstrapper:
         iterations: list[IterationResult] = []
         # Per-run performance state, kept in locals for re-entrancy:
         # the feature cache makes iterations 2+ reuse iteration 1's
-        # extraction work, and `warm_models` carries the previous
-        # iteration's word2vec model when warm starts are enabled.
+        # extraction work.
         feature_cache: FeatureCache | bool | None = None
         if self.config.tagger in ("crf", "ensemble"):
             # False (not None) when disabled: the tagger then runs the
@@ -351,7 +349,6 @@ class Bootstrapper:
                 if self.config.enable_feature_cache
                 else False
             )
-        warm_models: list["Word2Vec | None"] = [None]
         start_iteration = 1
         if checkpoint is not None:
             from ..errors import StorageError
@@ -394,7 +391,6 @@ class Bootstrapper:
                 trace,
                 faults,
                 feature_cache=feature_cache,
-                warm_models=warm_models,
             )
             # Iteration-health circuit breaker: a collapsed yield or an
             # exploding cleaning-rejection rate means the model is
@@ -731,7 +727,6 @@ class Bootstrapper:
         trace: PipelineTrace,
         faults: "FaultPlan | None" = None,
         feature_cache: FeatureCache | bool | None = None,
-        warm_models: list["Word2Vec | None"] | None = None,
     ) -> tuple[IterationResult, _IterationArtifacts]:
         if not dataset:
             raise TrainingError(
@@ -758,7 +753,6 @@ class Bootstrapper:
             cumulative,
             trace,
             faults,
-            warm_models=warm_models,
         )
 
     def _count_trainer_warnings(
@@ -782,7 +776,6 @@ class Bootstrapper:
         cumulative: set[Triple],
         trace: PipelineTrace,
         faults: "FaultPlan | None" = None,
-        warm_models: list["Word2Vec | None"] | None = None,
     ) -> tuple[IterationResult, _IterationArtifacts]:
         """Everything after tagging: cleaning, accumulation, records.
 
@@ -809,7 +802,7 @@ class Bootstrapper:
             cleaned = self._optional_stage(
                 trace, faults, "semantic_clean", iteration,
                 lambda stage: self._semantic_clean(
-                    stage, iteration, extractions, corpus, warm_models
+                    stage, iteration, extractions, corpus
                 ),
             )
             if cleaned is not None:
@@ -882,27 +875,12 @@ class Bootstrapper:
         iteration: int,
         extractions: list[Extraction],
         corpus: list[list[str]],
-        warm_models: list["Word2Vec | None"] | None = None,
     ) -> tuple[list[Extraction], SemanticStats]:
         cleaner = SemanticCleaner(
             self.config.semantic,
             seed=self.config.seed + iteration,
         )
-        donor = (
-            warm_models[0]
-            if warm_models is not None
-            and self.config.semantic.warm_start_embeddings
-            else None
-        )
-        kept, semantic_stats = cleaner.clean(
-            extractions, corpus, warm_start_from=donor
-        )
-        if (
-            warm_models is not None
-            and self.config.semantic.warm_start_embeddings
-            and cleaner.last_model is not None
-        ):
-            warm_models[0] = cleaner.last_model
+        kept, semantic_stats = cleaner.clean(extractions, corpus)
         stage.add(kept=len(kept), removed=semantic_stats.values_removed)
         return kept, semantic_stats
 

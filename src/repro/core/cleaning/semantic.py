@@ -103,17 +103,11 @@ class SemanticCleaner:
     def __init__(self, config: SemanticConfig | None = None, seed: int = 0):
         self.config = config or SemanticConfig()
         self.seed = seed
-        #: The word2vec model of the most recent :meth:`clean` call;
-        #: the bootstrap loop hands it to the next iteration as a
-        #: warm-start donor when ``warm_start_embeddings`` is on.
-        self.last_model: Word2Vec | None = None
 
     def clean(
         self,
         extractions: Sequence[Extraction],
         corpus: Sequence[Sequence[str]],
-        *,
-        warm_start_from: Word2Vec | None = None,
     ) -> tuple[list[Extraction], SemanticStats]:
         """Filter extractions whose values drift from their attribute.
 
@@ -121,9 +115,6 @@ class SemanticCleaner:
             extractions: veto-surviving extractions of this iteration.
             corpus: all tokenized sentences of the product corpus (the
                 word2vec training text).
-            warm_start_from: optional previously trained model whose
-                vectors seed this iteration's word2vec training (see
-                :meth:`Word2Vec.train`).
 
         Returns:
             ``(kept_extractions, stats)``. Attributes with too few
@@ -147,8 +138,7 @@ class SemanticCleaner:
             negatives=self.config.embedding_negatives,
             epochs=self.config.embedding_epochs,
             seed=self.seed,
-        ).train(merged_corpus, warm_start_from=warm_start_from)
-        self.last_model = model
+        ).train(merged_corpus)
         # "All-but-the-top": remove the common direction small SGNS
         # models collapse into, else every cosine saturates near 1.
         assert model._input_vectors is not None

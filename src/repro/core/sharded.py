@@ -107,7 +107,6 @@ from .text import PageText, tokenize_page
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..corpus.stream import PageSource
-    from ..embeddings import Word2Vec
     from ..runtime.checkpoint import CheckpointStore
     from ..runtime.faults import FaultPlan
     from ..runtime.pool import ShardFailure, ShardWorkerPool
@@ -649,7 +648,6 @@ class ShardedBootstrapper(Bootstrapper):
                 if self.config.enable_feature_cache
                 else False
             )
-        warm_models: list["Word2Vec | None"] = [None]
         start_iteration = 1
         if checkpoint is not None:
             try:
@@ -691,7 +689,6 @@ class ShardedBootstrapper(Bootstrapper):
                 trace,
                 faults,
                 feature_cache=feature_cache,
-                warm_models=warm_models,
                 checkpoint=checkpoint,
                 pool=pool,
                 governor=governor,
@@ -1040,7 +1037,6 @@ class ShardedBootstrapper(Bootstrapper):
         trace: PipelineTrace,
         faults: "FaultPlan | None",
         feature_cache: FeatureCache | bool | None = None,
-        warm_models: list["Word2Vec | None"] | None = None,
         checkpoint: "CheckpointStore | None" = None,
         *,
         pool: "ShardWorkerPool",
@@ -1087,7 +1083,6 @@ class ShardedBootstrapper(Bootstrapper):
             cumulative,
             trace,
             faults,
-            warm_models=warm_models,
         )
 
     def _tag_sharded(

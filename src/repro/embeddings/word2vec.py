@@ -14,7 +14,6 @@ word").
 
 from __future__ import annotations
 
-import hashlib
 from typing import Sequence
 
 import numpy as np
@@ -71,46 +70,17 @@ class Word2Vec:
         self.vocab: Vocabulary | None = None
         self._input_vectors: np.ndarray | None = None
         self._output_vectors: np.ndarray | None = None
-        self._negative_probabilities: np.ndarray | None = None
-        self._negative_signature: str | None = None
 
     # -- training --------------------------------------------------------
 
-    def train(
-        self,
-        sentences: Sequence[Sequence[str]],
-        *,
-        warm_start_from: "Word2Vec | None" = None,
-    ) -> "Word2Vec":
-        """Fit embeddings on tokenized sentences.
-
-        Args:
-            sentences: tokenized training corpus.
-            warm_start_from: a previously fitted model to resume from.
-                The RNG stream is *identical* to a cold start (vocab →
-                pair collection → random init → SGD); after the random
-                init, the rows of tokens shared with the donor's
-                vocabulary are overwritten with the donor's vectors, so
-                optimisation starts from the converged previous state
-                rather than noise. Deterministic given the same donor.
-                The donor's cached negative-sampling table is also
-                reused when the vocabularies' count profiles match.
+    def train(self, sentences: Sequence[Sequence[str]]) -> "Word2Vec":
+        """Fit embeddings on tokenized sentences, from a cold start.
 
         Returns self for chaining.
 
         Raises:
-            EmbeddingError: when the corpus yields no training pairs,
-                or the warm-start donor's dimensionality differs.
+            EmbeddingError: when the corpus yields no training pairs.
         """
-        if (
-            warm_start_from is not None
-            and warm_start_from.fitted
-            and warm_start_from.dim != self.dim
-        ):
-            raise EmbeddingError(
-                "warm_start_from has dim "
-                f"{warm_start_from.dim}, expected {self.dim}"
-            )
         vocab = Vocabulary(min_count=self.min_count)
         for sentence in sentences:
             vocab.add_all(sentence)
@@ -134,9 +104,7 @@ class Word2Vec:
             rng.random((size, self.dim), dtype=np.float64) - 0.5
         ) / self.dim
         self._output_vectors = np.zeros((size, self.dim), dtype=np.float64)
-        if warm_start_from is not None and warm_start_from.fitted:
-            self._adopt_vectors(warm_start_from)
-        negative_table = self._negative_table(vocab, warm_start_from)
+        negative_table = self._negative_table(vocab)
 
         total_steps = max(1, self.epochs * (len(centers) // self.batch_size + 1))
         step = 0
@@ -201,29 +169,6 @@ class Word2Vec:
         keep = np.sqrt(self.subsample / np.maximum(frequency, 1e-12))
         return np.minimum(keep, 1.0)
 
-    def _adopt_vectors(self, donor: "Word2Vec") -> None:
-        """Overwrite shared-token rows with the donor's trained vectors.
-
-        Runs *after* the random init so the RNG stream matches a cold
-        start draw-for-draw; tokens absent from the donor keep their
-        fresh random rows.
-        """
-        assert self.vocab is not None and donor.vocab is not None
-        assert self._input_vectors is not None
-        assert donor._input_vectors is not None
-        assert self._output_vectors is not None
-        assert donor._output_vectors is not None
-        ours: list[int] = []
-        theirs: list[int] = []
-        for token_id in range(1, len(self.vocab)):
-            token = self.vocab.token_of(token_id)
-            if token in donor.vocab:
-                ours.append(token_id)
-                theirs.append(donor.vocab.id_of(token))
-        if ours:
-            self._input_vectors[ours] = donor._input_vectors[theirs]
-            self._output_vectors[ours] = donor._output_vectors[theirs]
-
     @staticmethod
     def _vocab_counts(vocab: Vocabulary) -> np.ndarray:
         counts = np.array(
@@ -236,31 +181,10 @@ class Word2Vec:
         counts[0] = 0.0  # never sample <unk>
         return counts
 
-    def _negative_table(
-        self, vocab: Vocabulary, donor: "Word2Vec | None" = None
-    ) -> np.ndarray:
-        """The unigram^0.75 sampling distribution, cached by signature.
-
-        The table depends only on the vocabulary's count profile, so a
-        donor model trained on a corpus with identical counts (common
-        between late bootstrap iterations, whose extraction sets have
-        converged) can hand its table over instead of recomputing.
-        """
-        counts = self._vocab_counts(vocab)
-        signature = hashlib.sha1(counts.tobytes()).hexdigest()
-        if (
-            donor is not None
-            and donor._negative_signature == signature
-            and donor._negative_probabilities is not None
-        ):
-            self._negative_probabilities = donor._negative_probabilities
-            self._negative_signature = signature
-            return self._negative_probabilities
-        weights = counts ** 0.75
-        table = weights / weights.sum()
-        self._negative_probabilities = table
-        self._negative_signature = signature
-        return table
+    def _negative_table(self, vocab: Vocabulary) -> np.ndarray:
+        """The unigram^0.75 negative-sampling distribution."""
+        weights = self._vocab_counts(vocab) ** 0.75
+        return weights / weights.sum()
 
     def _sgd_step(
         self,

@@ -67,7 +67,7 @@ class PackedEstep:
     memory offset) and per-row ``np.einsum`` reductions, and the
     per-sentence transition products have fixed per-sentence shapes —
     so results are bit-identical no matter how sentences are
-    partitioned into buckets or fanned across worker processes.
+    partitioned into buckets.
     Cross-sentence reductions are left to the caller, which must
     perform them in a canonical order.
 

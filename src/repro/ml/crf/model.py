@@ -21,6 +21,12 @@ from ..features import FeatureExtractor, FeatureIndexer
 from .inference import InferenceScratch, viterbi
 from .train import CrfProblem, train_crf
 
+#: Sentences per padded Viterbi batch at tag time. Sentences are
+#: length-bucketed first, so each batch is nearly rectangular; decoding
+#: is per-sentence independent, making any batch size output-identical
+#: to one monolithic batch.
+TAG_BATCH_SIZE = 64
+
 
 class CrfTagger:
     """Linear-chain CRF sequence tagger (crfsuite-equivalent).
@@ -123,11 +129,6 @@ class CrfTagger:
         self._unary, self._transitions = train_crf(
             problem, self.config.l1, self.config.l2,
             self.config.max_iterations,
-            trainer=self.config.trainer,
-            batch_size=self.config.train_batch_size,
-            estep_workers=self.config.estep_workers,
-            sgd_batch_size=self.config.sgd_batch_size,
-            sgd_learning_rate=self.config.sgd_learning_rate,
             diagnostics=self.training_diagnostics,
         )
         return self
@@ -237,8 +238,7 @@ class CrfTagger:
         if not nonempty:
             return
         buckets = length_buckets(
-            [len(sentence) for sentence in nonempty],
-            self.config.tag_batch_size,
+            [len(sentence) for sentence in nonempty], TAG_BATCH_SIZE
         )
         for bucket in buckets:
             yield [nonempty[index] for index in bucket]

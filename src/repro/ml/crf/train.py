@@ -1,4 +1,4 @@
-"""CRF training: regularized NLL minimized with L-BFGS or minibatch SGD.
+"""CRF training: regularized NLL minimized with exact L-BFGS.
 
 The parameter vector packs the unary weight matrix W (n_features × L)
 followed by the transition matrix A (L × L). The objective is
@@ -22,24 +22,19 @@ batch that was mostly padding. ``_Workspace`` now
   (:func:`~repro.perf.bucketing.length_buckets`) and lays each bucket
   out packed time-major (:class:`~repro.perf.bucketing.PackedLayout`)
   — zero padding, contiguous prefix slices per recursion step,
-* runs the E-step per bucket through
+* runs the E-step serially per bucket through
   :class:`~repro.ml.crf.inference.PackedEstep` (scaled probability
-  space, per-bucket scratch buffers), optionally fanning buckets
-  across forked worker processes.
+  space, per-bucket scratch buffers).
 
 Determinism contract: every per-sentence quantity is computed
 independently of bucket composition, and all cross-sentence
 reductions happen in one canonical order — sentence-major scatter of
 the unique sentences, then a single sparse matmul / sum. The exact
-L-BFGS path is therefore bit-identical for any ``batch_size`` and any
-worker count. The opt-in ``trainer="sgd"`` mode trades that exactness
-for speed (per-bucket Adagrad steps with a seeded shuffle — still
-deterministic run-to-run, but a different optimum than L-BFGS).
+L-BFGS path is therefore bit-identical for any ``batch_size``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +50,6 @@ _L1_EPSILON = 1e-8
 #: bootstrap problems form a single near-rectangular bucket; any value
 #: is output-identical for the exact trainer (see module docstring).
 DEFAULT_TRAIN_BATCH = 512
-
-#: Supported ``trainer=`` modes.
-TRAINERS = ("lbfgs", "sgd")
 
 #: liblbfgs (and hence crfsuite) keeps m=6 correction pairs; scipy's
 #: default is 10. Matching the reference implementation also shaves
@@ -94,11 +86,7 @@ class CrfProblem:
 class _Bucket:
     """One packed length bucket plus its E-step kernel."""
 
-    __slots__ = (
-        "layout", "flat", "design_pk", "estep", "sent_ids",
-        "design_pk_t", "empirical_unary", "empirical_trans",
-        "weight_rows",
-    )
+    __slots__ = ("layout", "flat", "design_pk", "estep", "sent_ids")
 
     def __init__(self, layout, flat, design_pk, estep):
         self.layout = layout
@@ -106,26 +94,10 @@ class _Bucket:
         self.design_pk = design_pk
         self.estep = estep
         self.sent_ids = layout.sent_ids
-        # SGD-only constants, built lazily by _Workspace._prepare_sgd.
-        self.design_pk_t = None
-        self.empirical_unary = None
-        self.empirical_trans = None
-        self.weight_rows = 0.0
 
     def run(self, unary, trans_exp, trans_max):
         scores = self.design_pk @ unary
         return self.estep.run(scores, trans_exp, trans_max)
-
-
-#: Workspace inherited by forked E-step workers (set only around the
-#: fork; workers read their copy-on-write snapshot).
-_FORK_WORKSPACE: "_Workspace | None" = None
-
-
-def _pool_estep(task):
-    index, unary, trans_exp, trans_max = task
-    assert _FORK_WORKSPACE is not None
-    return _FORK_WORKSPACE.buckets[index].run(unary, trans_exp, trans_max)
 
 
 class _Workspace:
@@ -133,6 +105,7 @@ class _Workspace:
 
     def __init__(self, problem: CrfProblem, batch_size: int | None = None):
         self.problem = problem
+        # Read at call time so tests can patch the module constant.
         batch_size = batch_size or DEFAULT_TRAIN_BATCH
         design = problem.design
         labels = problem.labels
@@ -177,12 +150,10 @@ class _Workspace:
             ]
         )
         design_u = design[unique_rows].tocsr()
-        self.labels_u = labels[unique_rows]
         self.rows_u = len(unique_rows)
         self.starts_u = np.zeros(self.n_unique, dtype=np.int64)
         np.cumsum(self.lens_u[:-1], out=self.starts_u[1:])
         w_row = np.repeat(self.w, self.lens_u)
-        self.total_weight_rows = float(w_row.sum())
 
         # ---- empirical counts on the FULL original data (constants) ----
         rows = design.shape[0]
@@ -219,9 +190,7 @@ class _Workspace:
                     ),
                 )
             )
-        self.design_u = design_u
         self.design_u_t = design_u.T.tocsr()
-        self.w_row = w_row
 
         # ---- canonical (bucket-order-independent) accumulators ----
         self.expected_flat = np.empty((self.rows_u, n_labels))
@@ -240,60 +209,13 @@ class _Workspace:
         self.grad = np.empty(self.n_params)
         self._reg1 = np.empty(self.n_params)
         self._reg2 = np.empty(self.n_params)
-        self._pool = None
-        self._sgd_ready = False
-
-    # -- E-step dispatch ---------------------------------------------------
 
     def estep(self, unary, trans_exp, trans_max):
-        """Per-bucket E-step results, in bucket order.
-
-        Runs serially, or across the attached worker pool; the merge
-        (done by the caller's canonical scatters) is identical either
-        way because every bucket's output is bucket-independent.
-        """
-        if self._pool is not None and len(self.buckets) > 1:
-            return self._pool.map(
-                _pool_estep,
-                [
-                    (index, unary, trans_exp, trans_max)
-                    for index in range(len(self.buckets))
-                ],
-            )
+        """Per-bucket E-step results, in bucket order."""
         return [
             bucket.run(unary, trans_exp, trans_max)
             for bucket in self.buckets
         ]
-
-    # -- SGD constants -----------------------------------------------------
-
-    def _prepare_sgd(self) -> None:
-        """Per-bucket empirical counts (lazily; SGD mode only)."""
-        if self._sgd_ready:
-            return
-        n_labels = self.n_labels
-        for bucket in self.buckets:
-            flat = bucket.flat
-            rows = len(flat)
-            labels_pk = self.labels_u[flat]
-            w_pk = self.w_row[flat]
-            one_hot = sparse.csr_matrix(
-                (w_pk, (np.arange(rows), labels_pk)),
-                shape=(rows, n_labels),
-            )
-            bucket.design_pk_t = bucket.design_pk.T.tocsr()
-            bucket.empirical_unary = (
-                bucket.design_pk_t @ one_hot
-            ).toarray()
-            trans = np.zeros((n_labels, n_labels), dtype=np.float64)
-            for sent in bucket.sent_ids:
-                start = int(self.starts_u[sent])
-                gold = self.labels_u[start:start + int(self.lens_u[sent])]
-                weight = self.w[sent]
-                np.add.at(trans, (gold[:-1], gold[1:]), weight)
-            bucket.empirical_trans = trans
-            bucket.weight_rows = float(w_pk.sum())
-        self._sgd_ready = True
 
 
 def _unpack(
@@ -323,7 +245,7 @@ def _objective(
 
     # Scatter every bucket's per-sentence results into sentence-major
     # canonical arrays; the scatter targets are disjoint, so bucket
-    # partitioning and worker scheduling cannot reorder anything.
+    # partitioning cannot reorder anything.
     results = workspace.estep(unary, trans_exp, trans_max)
     for bucket, (log_z, marginals, seq_trans) in zip(
         workspace.buckets, results
@@ -467,109 +389,25 @@ def _minimize_lbfgs_direct(
     )
 
 
-def _open_pool(workspace: _Workspace, workers: int):
-    """A fork-based worker pool over the workspace, or None.
-
-    Workers inherit the workspace via copy-on-write fork memory, so
-    nothing is pickled at setup; each task ships only the weight
-    matrices. Platforms without fork (or fork failures) fall back to
-    the serial path — the results are bit-identical either way.
-    """
-    if workers <= 1 or len(workspace.buckets) < 2:
-        return None
-    global _FORK_WORKSPACE
-    try:
-        context = multiprocessing.get_context("fork")
-        _FORK_WORKSPACE = workspace
-        return context.Pool(min(workers, len(workspace.buckets)))
-    except (ValueError, OSError):
-        return None
-    finally:
-        _FORK_WORKSPACE = None
-
-
-def _train_sgd(
-    workspace: _Workspace,
-    l1: float,
-    l2: float,
-    epochs: int,
-    learning_rate: float,
-) -> np.ndarray:
-    """Minibatch Adagrad-SGD over the length buckets.
-
-    One update per bucket per epoch, buckets visited in a seeded
-    shuffle — deterministic run-to-run, approximate by design (an
-    opt-in fast mode for bootstrap iterations where exact L-BFGS
-    convergence is wasted).
-    """
-    workspace._prepare_sgd()
-    n_features = workspace.n_features
-    n_labels = workspace.n_labels
-    weights = np.zeros(workspace.n_params)
-    accum = np.full(workspace.n_params, 1e-8)
-    rng = np.random.default_rng(13)
-    trans_exp = workspace.trans_exp
-    total = workspace.total_weight_rows
-    for _ in range(epochs):
-        for index in rng.permutation(len(workspace.buckets)):
-            bucket = workspace.buckets[index]
-            unary, transitions = _unpack(weights, n_features, n_labels)
-            trans_max = float(transitions.max())
-            np.subtract(transitions, trans_max, out=trans_exp)
-            np.exp(trans_exp, out=trans_exp)
-            _, marginals, seq_trans = bucket.run(
-                unary, trans_exp, trans_max
-            )
-            grad_unary = (
-                bucket.design_pk_t @ marginals - bucket.empirical_unary
-            )
-            grad_trans = (
-                seq_trans.sum(axis=0) * trans_exp
-                - bucket.empirical_trans
-            )
-            grad = np.concatenate(
-                [grad_unary.ravel(), grad_trans.ravel()]
-            )
-            share = bucket.weight_rows / total
-            if l2:
-                grad += (2.0 * l2 * share) * weights
-            if l1:
-                grad += (l1 * share) * weights / np.sqrt(
-                    weights * weights + _L1_EPSILON
-                )
-            accum += grad * grad
-            weights -= learning_rate * grad / np.sqrt(accum)
-    return weights
-
-
 def train_crf(
     problem: CrfProblem,
     l1: float,
     l2: float,
     max_iterations: int,
     *,
-    trainer: str = "lbfgs",
     batch_size: int | None = None,
-    estep_workers: int = 1,
-    sgd_batch_size: int = 32,
-    sgd_learning_rate: float = 0.5,
     diagnostics: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fit CRF weights by L-BFGS (exact) or minibatch SGD (fast mode).
+    """Fit CRF weights by exact L-BFGS.
 
     Args:
         problem: the vectorized training problem.
         l1: smoothed-L1 strength.
         l2: L2 strength.
-        max_iterations: L-BFGS iteration cap, or SGD epochs.
-        trainer: ``"lbfgs"`` (default, exact) or ``"sgd"``.
-        batch_size: unique sentences per E-step bucket
-            (default :data:`DEFAULT_TRAIN_BATCH`); output-identical
-            for the exact trainer.
-        estep_workers: worker processes for the per-bucket E-step
-            fan-out (deterministic merge; 1 = serial).
-        sgd_batch_size: bucket size for ``trainer="sgd"``.
-        sgd_learning_rate: Adagrad step size for ``trainer="sgd"``.
+        max_iterations: L-BFGS iteration cap.
+        batch_size: unique sentences per E-step bucket (default
+            :data:`DEFAULT_TRAIN_BATCH`); output-identical for any
+            value, so it is a test seam, not a tuning knob.
         diagnostics: optional dict that receives counted training
             warnings (e.g. ``"lbfgs_abnormal"`` when a line-search
             abort was degraded to best-so-far weights).
@@ -579,49 +417,28 @@ def train_crf(
         (n_features, L) and (L, L).
 
     Raises:
-        TrainingError: on an unknown trainer, or if the optimizer
-            reports a failure other than hitting the iteration cap or
-            a line-search abort (which keeps the best-so-far weights
-            and counts a warning instead).
+        TrainingError: if the optimizer reports a failure other than
+            hitting the iteration cap or a line-search abort (which
+            keeps the best-so-far weights and counts a warning
+            instead).
     """
-    if trainer not in TRAINERS:
-        raise TrainingError(
-            f"unknown trainer {trainer!r}; expected one of {TRAINERS}"
-        )
-    n_features = problem.design.shape[1]
-    n_labels = problem.n_labels
-    if trainer == "sgd":
-        workspace = _Workspace(problem, batch_size=sgd_batch_size)
-        weights = _train_sgd(
-            workspace, l1, l2, max_iterations, sgd_learning_rate
-        )
-        return _unpack(weights, n_features, n_labels)
-
     workspace = _Workspace(problem, batch_size=batch_size)
     start = np.zeros(workspace.n_params, dtype=np.float64)
-    pool = _open_pool(workspace, estep_workers)
-    workspace._pool = pool
-    try:
-        result = _minimize_lbfgs_direct(
-            start, workspace, l1, l2, max_iterations, _LBFGS_HISTORY
+    result = _minimize_lbfgs_direct(
+        start, workspace, l1, l2, max_iterations, _LBFGS_HISTORY
+    )
+    if result is None:  # private scipy interface didn't match
+        result = optimize.minimize(
+            _objective,
+            start,
+            args=(workspace, l1, l2),
+            method="L-BFGS-B",
+            jac=True,
+            options={
+                "maxiter": max_iterations,
+                "maxcor": _LBFGS_HISTORY,
+            },
         )
-        if result is None:  # private scipy interface didn't match
-            result = optimize.minimize(
-                _objective,
-                start,
-                args=(workspace, l1, l2),
-                method="L-BFGS-B",
-                jac=True,
-                options={
-                    "maxiter": max_iterations,
-                    "maxcor": _LBFGS_HISTORY,
-                },
-            )
-    finally:
-        workspace._pool = None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
     if not result.success:
         message = str(result.message).upper()
         if "ITERATIONS" in message:
@@ -636,4 +453,4 @@ def train_crf(
                 )
         else:
             raise TrainingError(f"L-BFGS failed: {result.message}")
-    return _unpack(result.x, n_features, n_labels)
+    return _unpack(result.x, problem.design.shape[1], problem.n_labels)

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..config import CrfConfig, LstmConfig
-from ..errors import ModelError, NotFittedError
+from ..errors import ConfigError, ModelError, NotFittedError
 from ..nlp.vocab import Vocabulary
 from .crf import CrfTagger
 from .lstm import LstmTagger
@@ -33,6 +33,20 @@ MODEL_FILES = ("meta.json", "weights.npz")
 
 MANIFEST_NAME = "MANIFEST.json"
 
+#: ``CrfConfig`` keys of the retired trainer and batching knobs. Bundles
+#: saved before their removal still carry them; loading drops exactly
+#: these so such bundles keep loading (they never changed the output).
+_RETIRED_CRF_KEYS = frozenset(
+    {
+        "tag_batch_size",
+        "trainer",
+        "train_batch_size",
+        "estep_workers",
+        "sgd_batch_size",
+        "sgd_learning_rate",
+    }
+)
+
 
 def _write(directory: pathlib.Path, meta: dict, arrays: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
@@ -41,6 +55,25 @@ def _write(directory: pathlib.Path, meta: dict, arrays: dict) -> None:
         json.dumps(meta, ensure_ascii=False, indent=1)
     )
     np.savez(directory / "weights.npz", **arrays)
+
+
+def _config_from_meta(factory, meta: dict, retired=frozenset()):
+    """Build a config from ``meta["config"]``, dropping ``retired`` keys.
+
+    Unknown keys and out-of-range values both refuse the bundle with
+    :class:`ModelError`, the one error a registry swap counts.
+    """
+    raw = meta.get("config")
+    if not isinstance(raw, dict):
+        raise ModelError("meta.json has no config object")
+    try:
+        return factory(
+            **{key: value for key, value in raw.items() if key not in retired}
+        )
+    except (TypeError, ConfigError) as error:
+        raise ModelError(
+            f"invalid {factory.__name__} in meta.json: {error}"
+        ) from error
 
 
 def _read(directory: pathlib.Path) -> tuple[dict, dict]:
@@ -207,7 +240,9 @@ def load_crf(directory: str | pathlib.Path) -> CrfTagger:
     meta, arrays = _read(pathlib.Path(directory))
     if meta.get("kind") != "crf":
         raise ModelError(f"not a CRF model: {meta.get('kind')!r}")
-    tagger = CrfTagger(CrfConfig(**meta["config"]))
+    tagger = CrfTagger(
+        _config_from_meta(CrfConfig, meta, retired=_RETIRED_CRF_KEYS)
+    )
     tagger._labels = list(meta["labels"])
     tagger._label_index = {
         label: index for index, label in enumerate(tagger._labels)
@@ -268,7 +303,7 @@ def load_lstm(directory: str | pathlib.Path) -> LstmTagger:
     meta, arrays = _read(pathlib.Path(directory))
     if meta.get("kind") != "lstm":
         raise ModelError(f"not an LSTM model: {meta.get('kind')!r}")
-    tagger = LstmTagger(LstmConfig(**meta["config"]))
+    tagger = LstmTagger(_config_from_meta(LstmConfig, meta))
     tagger._labels = list(meta["labels"])
     tagger._label_index = {
         label: index for index, label in enumerate(tagger._labels)

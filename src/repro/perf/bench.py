@@ -1,11 +1,10 @@
 """Per-stage pipeline benchmark harness (``make bench-pipeline``).
 
 Runs the full pipeline over a fixed category set twice — once with
-the hot-path optimisations disabled (no feature cache, one monolithic
-tag batch) and once with the optimised defaults — and writes a JSON
-artifact with per-stage wall-clock,
-per-iteration seconds, feature-cache hit/miss counters and the
-uncached→optimised speedup. Because the optimisations are
+the feature cache disabled and once with the optimised defaults — and
+writes a JSON artifact with per-stage wall-clock, per-iteration
+seconds, feature-cache hit/miss counters and the uncached→optimised
+speedup. Because the optimisations are
 determinism-preserving, the harness also asserts both modes produced
 identical triples and records the verdict in the artifact.
 
@@ -32,29 +31,11 @@ from ..core.pipeline import PAEPipeline
 from ..corpus import Marketplace
 from ..runtime.trace import PipelineTrace
 
-#: One monolithic batch — effectively disables length bucketing.
-_UNBUCKETED = 10**9
-
-
 def _mode_config(base: PipelineConfig, optimized: bool) -> PipelineConfig:
     # "optimized" is exactly the shipped defaults (shared feature
-    # cache, bucketed tagging/training); warm-start embeddings stay
-    # off in both modes because that opt-in flag may change the (still
-    # deterministic) output, and the bench asserts bit-identity. Both
-    # modes keep the exact lbfgs trainer — train_batch_size is
-    # output-identical by construction, so forcing it monolithic in
-    # the uncached mode exercises the bit-identity claim end-to-end.
-    if optimized:
-        return replace(base, enable_feature_cache=True)
-    return replace(
-        base,
-        enable_feature_cache=False,
-        crf=replace(
-            base.crf,
-            tag_batch_size=_UNBUCKETED,
-            train_batch_size=_UNBUCKETED,
-        ),
-    )
+    # cache); "uncached" runs the reference string-feature path. The
+    # bench asserts the two are bit-identical.
+    return replace(base, enable_feature_cache=optimized)
 
 
 def _iteration_seconds(trace: PipelineTrace) -> dict[int, float]:

@@ -111,24 +111,12 @@ def test_missing_command_rejected():
         main([])
 
 
-def test_run_command_rejects_bad_tag_batch_size():
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        main(
-            [
-                "run", "--category", "tennis", "--products", "40",
-                "--iterations", "1", "--tag-batch-size", "0",
-            ]
-        )
-
-
 def test_run_command_writes_bench_counters(capsys, tmp_path):
     bench_path = tmp_path / "bench.json"
     code = main(
         [
             "run", "--category", "tennis", "--products", "40",
-            "--iterations", "1", "--tag-batch-size", "8",
+            "--iterations", "1",
             "--bench-out", str(bench_path),
         ]
     )

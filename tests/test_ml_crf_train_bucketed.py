@@ -2,9 +2,9 @@
 
 Covers the three determinism-critical guarantees of the packed
 E-step pipeline — objective/gradient bit-identity for any bucket
-partition, trained-weight bit-identity across worker fan-out, and the
-direct ``setulb`` driver matching ``scipy.optimize.minimize`` — plus
-the degraded-line-search handling and the opt-in SGD mode.
+partition, trained-weight bit-identity for any bucket partition, and
+the direct ``setulb`` driver matching ``scipy.optimize.minimize`` —
+plus the degraded-line-search handling.
 """
 
 import numpy as np
@@ -78,13 +78,9 @@ def test_trained_weights_bit_identical_across_buckets(mix):
     unary_mono, trans_mono = train_crf(
         problem, 0.05, 0.05, 25, batch_size=_UNBUCKETED
     )
-    for kwargs in (
-        {"batch_size": 4},
-        {"batch_size": 4, "estep_workers": 2},
-    ):
-        unary, trans = train_crf(problem, 0.05, 0.05, 25, **kwargs)
-        assert np.array_equal(unary, unary_mono), kwargs
-        assert np.array_equal(trans, trans_mono), kwargs
+    unary, trans = train_crf(problem, 0.05, 0.05, 25, batch_size=4)
+    assert np.array_equal(unary, unary_mono)
+    assert np.array_equal(trans, trans_mono)
 
 
 def test_direct_lbfgs_driver_matches_scipy_minimize():
@@ -159,24 +155,3 @@ def test_iteration_cap_is_not_a_failure(monkeypatch):
     train_crf(problem, 0.05, 0.05, 10, diagnostics=diagnostics)
     assert diagnostics == {}
 
-
-def test_sgd_reduces_nll():
-    problem = _problem_from_lengths(
-        [4, 3, 5, 2, 4, 3, 5, 4, 2, 3], seed=6
-    )
-    unary, trans = train_crf(
-        problem, 0.01, 0.01, 30, trainer="sgd", sgd_batch_size=4
-    )
-    workspace = _Workspace(problem)
-    trained = np.concatenate([unary.ravel(), trans.ravel()])
-    nll_zero, _ = _objective(
-        np.zeros(trained.size), workspace, 0.0, 0.0
-    )
-    nll_sgd, _ = _objective(trained, workspace, 0.0, 0.0)
-    assert nll_sgd < nll_zero
-
-
-def test_unknown_trainer_rejected():
-    problem = _problem_from_lengths([2, 3], seed=7)
-    with pytest.raises(TrainingError):
-        train_crf(problem, 0.05, 0.05, 10, trainer="adam")

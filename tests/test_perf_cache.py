@@ -5,15 +5,14 @@ assertions are equalities between the fast paths and the plain ones,
 capped by a pipeline-level bit-identity check on two seeds.
 """
 
-import numpy as np
 import pytest
 
 from repro import PAEPipeline, PipelineConfig
-from repro.config import CrfConfig, SemanticConfig
+from repro.config import CrfConfig
 from repro.corpus import Marketplace
-from repro.errors import EmbeddingError
-from repro.embeddings import Word2Vec
 from repro.ml import CrfTagger, FeatureExtractor, FeatureIndexer
+from repro.ml.crf import model as crf_model
+from repro.ml.crf import train as crf_train
 from repro.perf.bucketing import length_buckets
 from repro.perf.cache import FeatureCache, FeatureInterner
 
@@ -145,7 +144,9 @@ def _training_set(make_tagged):
     ]
 
 
-def test_tag_batch_size_is_output_identical(make_tagged, make_sentence):
+def test_tag_batch_size_is_output_identical(
+    make_tagged, make_sentence, monkeypatch
+):
     dataset = _training_set(make_tagged)
     to_tag = [
         make_sentence("juryo wa 5 kg desu"),
@@ -154,13 +155,11 @@ def test_tag_batch_size_is_output_identical(make_tagged, make_sentence):
         make_sentence(""),
         make_sentence("ao"),
     ]
-    monolithic = CrfTagger(
-        CrfConfig(tag_batch_size=10**9)
-    ).train(dataset).tag(to_tag)
-    tiny_batches = CrfTagger(
-        CrfConfig(tag_batch_size=1)
-    ).train(dataset).tag(to_tag)
-    assert tiny_batches == monolithic
+    tagger = CrfTagger(CrfConfig()).train(dataset)
+    monkeypatch.setattr(crf_model, "TAG_BATCH_SIZE", 10**9)
+    monolithic = tagger.tag(to_tag)
+    monkeypatch.setattr(crf_model, "TAG_BATCH_SIZE", 1)
+    assert tagger.tag(to_tag) == monolithic
 
 
 def test_string_path_tagger_is_output_identical(
@@ -192,41 +191,6 @@ def test_shared_cache_across_taggers_hits(make_tagged, make_sentence):
     assert cache.hits >= misses_after_first
 
 
-# -- warm-start embeddings ----------------------------------------------------
-
-_CORPUS = [
-    ["aka", "kaban", "desu"],
-    ["ao", "kaban", "desu"],
-    ["aka", "kutsu", "2", "kg"],
-    ["ao", "kutsu", "3", "kg"],
-] * 4
-
-
-def test_warm_start_is_deterministic():
-    donor = Word2Vec(dim=8, seed=3).train(_CORPUS)
-    one = Word2Vec(dim=8, seed=3).train(_CORPUS, warm_start_from=donor)
-    two = Word2Vec(dim=8, seed=3).train(_CORPUS, warm_start_from=donor)
-    for word in ("aka", "kaban", "kg"):
-        np.testing.assert_array_equal(one.vector(word), two.vector(word))
-
-
-def test_warm_start_rejects_dim_mismatch():
-    donor = Word2Vec(dim=8, seed=3).train(_CORPUS)
-    with pytest.raises(EmbeddingError):
-        Word2Vec(dim=16, seed=3).train(_CORPUS, warm_start_from=donor)
-
-
-def test_negative_table_reused_on_identical_counts():
-    donor = Word2Vec(dim=8, seed=3).train(_CORPUS)
-    warm = Word2Vec(dim=8, seed=3).train(_CORPUS, warm_start_from=donor)
-    assert warm._negative_probabilities is donor._negative_probabilities
-    # A different count profile must recompute.
-    other = Word2Vec(dim=8, seed=3).train(
-        _CORPUS + [["atarashii", "kotoba"]], warm_start_from=donor
-    )
-    assert other._negative_probabilities is not donor._negative_probabilities
-
-
 # -- pipeline bit-identity ----------------------------------------------------
 
 
@@ -237,18 +201,20 @@ def _triples(result):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_pipeline_bit_identical_with_and_without_fast_paths(seed):
+def test_pipeline_bit_identical_with_and_without_fast_paths(
+    seed, monkeypatch
+):
     """Cache + bucketing change wall-clock, never the output."""
     dataset = Marketplace(seed=seed).generate("vacuum_cleaner", 30)
     fast = PAEPipeline(
         PipelineConfig(iterations=2, seed=seed)
     ).run(dataset.product_pages, dataset.query_log)
+    # The plain run tags and trains in one monolithic batch each.
+    monkeypatch.setattr(crf_model, "TAG_BATCH_SIZE", 10**9)
+    monkeypatch.setattr(crf_train, "DEFAULT_TRAIN_BATCH", 10**9)
     plain = PAEPipeline(
         PipelineConfig(
-            iterations=2,
-            seed=seed,
-            enable_feature_cache=False,
-            crf=CrfConfig(tag_batch_size=10**9),
+            iterations=2, seed=seed, enable_feature_cache=False
         )
     ).run(dataset.product_pages, dataset.query_log)
     assert _triples(fast) == _triples(plain)
@@ -259,18 +225,3 @@ def test_pipeline_bit_identical_with_and_without_fast_paths(seed):
         "misses": 0,
     }
 
-
-def test_warm_start_embeddings_pipeline_is_deterministic():
-    """Warm-start runs are reproducible run-to-run."""
-    dataset = Marketplace(seed=7).generate("tennis", 30)
-    config = PipelineConfig(
-        iterations=2,
-        semantic=SemanticConfig(warm_start_embeddings=True),
-    )
-    one = PAEPipeline(config).run(
-        dataset.product_pages, dataset.query_log
-    )
-    two = PAEPipeline(config).run(
-        dataset.product_pages, dataset.query_log
-    )
-    assert _triples(one) == _triples(two)

@@ -1,5 +1,6 @@
 """Tests for the versioned warm model registry."""
 
+import json
 import threading
 import time
 
@@ -57,6 +58,53 @@ def test_tampered_dictionary_is_rejected(registry_root):
 def test_missing_version_is_a_model_error(registry_root):
     with pytest.raises(ModelError, match="no published version"):
         load_bundle(registry_root, "v9")
+
+
+def _rewrite_config(bundle_dir, **changes):
+    """Edit the saved tagger config and re-seal the manifest."""
+    meta_path = bundle_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"].update(changes)
+    meta_path.write_text(json.dumps(meta, ensure_ascii=False, indent=1))
+    write_manifest(bundle_dir, extra_files=("dictionary.json",))
+
+
+def test_bundle_with_retired_crf_keys_loads_and_tags_identically(
+    registry_root, serve_model, ja
+):
+    from repro.config import CrfConfig
+    from repro.ml.persistence import _RETIRED_CRF_KEYS
+    from repro.types import Sentence
+
+    # Bundles saved before the trainer and batching knobs were retired
+    # carry all six keys; the loader drops them whatever their value.
+    assert len(_RETIRED_CRF_KEYS) == 6
+    assert not _RETIRED_CRF_KEYS & set(CrfConfig.__dataclass_fields__)
+    tagger, _ = serve_model
+    _rewrite_config(
+        registry_root / "v1",
+        **{key: "lbfgs" if key == "trainer" else 1
+           for key in _RETIRED_CRF_KEYS},
+    )
+    bundle = load_bundle(registry_root, "v1")
+    assert bundle.tagger.config == tagger.config
+    sentences = [
+        Sentence("p1", 0, ja.tokens("iro wa aka desu soshite juryo wa 2 kg")),
+        Sentence("p2", 0, ja.tokens("juryo wa 3 kg desu")),
+    ]
+    assert bundle.tagger.tag(sentences) == tagger.tag(sentences)
+
+
+def test_bundle_with_unknown_config_key_is_a_model_error(registry_root):
+    _rewrite_config(registry_root / "v1", future_knob=3)
+    with pytest.raises(ModelError, match="CrfConfig"):
+        load_bundle(registry_root, "v1")
+
+
+def test_bundle_with_out_of_range_config_is_a_model_error(registry_root):
+    _rewrite_config(registry_root / "v1", window=-1)
+    with pytest.raises(ModelError, match="window"):
+        load_bundle(registry_root, "v1")
 
 
 def test_activate_marks_bundle_live_and_warm(registry_root):

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.config import ServeConfig
+from repro.ml.persistence import write_manifest
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.serve import (
     ExtractionService,
@@ -217,6 +218,25 @@ def test_empty_registry_fails_fast_with_structured_503(tmp_path):
         assert payload["degradation"] == "fail_fast"
     finally:
         service.close()
+
+
+def test_swap_to_bundle_with_bad_config_is_a_counted_failure(
+    service, registry, serve_model
+):
+    tagger, dictionary = serve_model
+    bundle_dir = publish_bundle(
+        registry.root, "v2", tagger, dictionary, "ja"
+    )
+    meta_path = bundle_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["future_knob"] = 1
+    meta_path.write_text(json.dumps(meta))
+    write_manifest(bundle_dir, extra_files=("dictionary.json",))
+    status, payload = service.swap("v2")
+    assert status == 500
+    assert payload["code"] == "model_error"
+    assert service.stats()["counters"]["swap_failures"] == 1
+    assert registry.active.version == "v1"
 
 
 def test_stats_counters_track_outcomes(service):

@@ -77,20 +77,6 @@ def test_bit_identical_across_shard_and_worker_combos(
     assert streamed.product_count == monolithic.product_count
 
 
-def test_bit_identical_with_estep_fanout(vacuum):
-    from dataclasses import replace
-
-    config = replace(CONFIG, crf=replace(CONFIG.crf, estep_workers=2))
-    mono = PAEPipeline(config).run(
-        vacuum.product_pages, vacuum.query_log
-    )
-    source = MaterializedPageSource(vacuum.product_pages, shard_size=11)
-    streamed = PAEPipeline(config).run_streamed(
-        source, vacuum.query_log, shard_workers=2
-    )
-    _assert_identical(streamed, mono)
-
-
 def test_bit_identical_without_semantic_cleaning(vacuum):
     from dataclasses import replace
 
