@@ -68,10 +68,10 @@ bench-scale:
 	PYTHONPATH=src python -m repro.perf.bench_scale --out BENCH_scale.json
 
 # Tier-1 suite plus the serve chaos acceptance, the environment-fault
-# acceptance, a one-pass small-corpus bench smoke, the
-# sharded-vs-monolithic bit-identity gate (streamed runs with the prep
-# cache cold, warm and disabled) and the benchmark's smoke tests:
-# the quick pre-merge gate.
+# acceptance, a one-pass small-corpus bench smoke, the shard-layout
+# bit-identity gate (multi-shard runs with the prep cache cold, warm
+# and disabled against the one-shard `run`) and the benchmark's smoke
+# tests: the quick pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos

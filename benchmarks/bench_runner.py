@@ -8,9 +8,9 @@ interpretable) to ``BENCH_runner.json`` at the repo root. Re-run with
 trajectory PR over PR.
 
 The parallel sweep exercises the cheap-to-ship job path: generator-spec
-jobs (category + scale + seed, materialised in the worker) with
-``slim_results=True`` so neither page corpora nor training material
-ever cross the process boundary. The runner itself caps the pool at
+jobs (category + scale + seed, materialised in the worker), so page
+corpora never cross the process boundary (results carry no training
+material). The runner itself caps the pool at
 the visible CPUs — the artifact records both the requested and the
 effective worker count, because on a single-core box the honest
 "parallel" configuration is a one-worker pool, not four thrashing
@@ -45,9 +45,7 @@ ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_runner.json"
 def _jobs(products: int, iterations: int) -> list[RunnerJob]:
     config = PipelineConfig(iterations=iterations)
     return [
-        RunnerJob.generate(
-            category, products, config, data_seed=7, slim_results=True
-        )
+        RunnerJob.generate(category, products, config, data_seed=7)
         for category in CATEGORIES
     ]
 
@@ -113,7 +111,6 @@ def main() -> int:
         "products": products,
         "iterations": iterations,
         "repeats": repeats,
-        "slim_results": True,
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": round(speedup, 3),

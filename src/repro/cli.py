@@ -17,9 +17,9 @@ Subcommands::
         category degrades to a structured Timeout failure.
 
     repro-pae run --category tennis --products 100000 --stream
-        Bounded-memory scale mode: the category streams through the
-        sharded bootstrap shard by shard (``--shard-size``,
-        ``--shard-workers``) instead of materializing every page; the
+        Bounded-memory scale mode: the category is generated and
+        processed shard by shard (``--shard-size``; ``--pool-workers``
+        sets the shard pool) instead of materializing every page; the
         report adds throughput and peak RSS.
 
     repro-pae experiment --name table1
@@ -144,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--stream", action="store_true",
         help="bounded-memory scale mode: generate and process the "
-        "category shard by shard through the sharded bootstrap "
-        "instead of materializing every page (single category only; "
+        "category shard by shard instead of materializing every page "
+        "(single category only; "
         "pages come from per-page RNG substreams, so the corpus "
         "differs from the materialized one and the report skips the "
         "ground-truth precision sample)",
@@ -155,29 +155,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pages per shard in --stream mode (default: 1000)",
     )
     run.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="worker processes per shard fan-out in --stream mode "
-        "(output-identical for any N >= 1; default: CPUs visible "
-        "to the process)",
-    )
-    run.add_argument(
         "--memory-budget", type=int, default=None, metavar="MB",
-        help="soft RSS ceiling in MiB for --stream mode; crossing it "
-        "throttles shard fan-out and releases tokenizer memos "
-        "(output-identical; default: no governor)",
+        help="soft RSS ceiling in MiB; crossing it throttles shard "
+        "fan-out and releases tokenizer memos (output-identical; "
+        "default: no governor)",
     )
     run.add_argument(
         "--pool-workers", type=int, default=None, metavar="N",
-        help="worker processes for the supervised shard pool in "
-        "--stream mode (output-identical for any N >= 1; default: "
-        "CPUs visible to the process; --shard-workers wins when both "
-        "are given)",
+        help="worker processes for the supervised shard pool "
+        "(output-identical for any N >= 1; default: CPUs visible to "
+        "the process, capped at the shard count)",
     )
     run.add_argument(
         "--no-prep-cache", action="store_true",
-        help="disable the cross-run shard-prep artifact cache in "
-        "--stream mode (output-identical either way; prep is "
-        "recomputed from scratch)",
+        help="disable the cross-run shard-prep artifact cache "
+        "(output-identical either way; prep is recomputed from "
+        "scratch)",
     )
     run.add_argument(
         "--dirt-rate", type=float, default=0.0, metavar="FRACTION",
@@ -429,7 +422,6 @@ def _run_streamed(
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         faults=_dirt_plan(args),
-        shard_workers=args.shard_workers,
     )
     wall = time.perf_counter() - start
     peak = result.resilience_counters()["peak_rss_bytes"]

@@ -140,11 +140,10 @@ class IngestConfig:
             and unconditionally quarantined.
         max_dom_depth: maximum open-element nesting the parser accepts.
         max_table_rows: maximum ``<tr>`` rows in any one table.
-        parse_budget_seconds: wall-clock budget for parsing one page.
-            Enforced via SIGALRM on the main thread; worker threads
-            (where ``signal`` raises ``ValueError``) degrade to a
-            post-hoc wall-clock check counted as ``parse_budget_soft``.
-            0 disables the budget.
+        parse_budget_seconds: wall-clock budget for parsing one page,
+            checked after the parse on every thread and process; an
+            overrun quarantines the page and counts as
+            ``parse_budget_soft``. 0 disables the budget.
         max_unclosed_tags: unclosed non-void elements tolerated at end
             of input before the page counts as structurally damaged.
         max_bad_entities: malformed entity references tolerated before
@@ -393,8 +392,7 @@ class PipelineConfig:
     #: Cap on seed-labelled sentences kept in the training dataset
     #: (first N in corpus order; None = unbounded). At paper scale the
     #: folded dataset is the last unbounded per-iteration structure —
-    #: this knob bounds it deterministically, applied identically by
-    #: the monolithic and sharded paths so they stay bit-identical.
+    #: this knob bounds it deterministically, for any shard layout.
     max_labeled_sentences: int | None = None
     #: Memoize feature extraction across bootstrap iterations (see
     #: :mod:`repro.perf.cache`). Output-invisible; off only to measure
@@ -406,15 +404,15 @@ class PipelineConfig:
     #: replays the recorded per-page outcomes through the same
     #: deterministic merge; off only to measure the uncached baseline.
     enable_prep_cache: bool = True
-    #: Soft RSS ceiling in MiB for the sharded path (None = no
+    #: Soft RSS ceiling in MiB for every bootstrap run (None = no
     #: governor). Crossing it throttles shard fan-out and tag batches
     #: and releases tokenizer memos — counted backpressure, never an
     #: abort. Output-invisible: throttles change scheduling, not
     #: results.
     memory_budget_mb: int | None = None
     #: Worker processes for the supervised shard pool (None = derive
-    #: from visible CPUs). Explicit ``shard_workers`` on
-    #: :class:`~repro.core.sharded.ShardedBootstrapper` wins over this.
+    #: from visible CPUs, capped at the shard count). A run over a
+    #: page list is one shard, so it always runs inline.
     pool_workers: int | None = None
     seed_config: SeedConfig = field(default_factory=SeedConfig)
     veto: VetoConfig = field(default_factory=VetoConfig)

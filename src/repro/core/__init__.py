@@ -10,6 +10,7 @@ Layout mirrors Figure 2 of the paper:
 * :mod:`cleaning` — the four syntactic veto rules and the word2vec
   semantic-drift filter;
 * :mod:`bootstrap` — the Tagger–Cleaner cycle of Figure 1;
+* :mod:`sharded` — per-shard page prep and tagging for that cycle;
 * :mod:`pipeline` — the :class:`PAEPipeline` facade.
 """
 
@@ -17,7 +18,6 @@ from .bootstrap import BootstrapResult, Bootstrapper, IterationResult
 from .catalog import Catalog, CatalogRecord, build_catalog
 from .pipeline import PAEPipeline, PipelineResult
 from .preprocess import Seed, build_seed
-from .sharded import ShardedBootstrapper
 from .text import PageText, tokenize_page, tokenize_pages
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "PageText",
     "PipelineResult",
     "Seed",
-    "ShardedBootstrapper",
     "build_catalog",
     "build_seed",
     "tokenize_page",

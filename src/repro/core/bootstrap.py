@@ -6,6 +6,15 @@ semantic drift, fold the surviving evidence back into the dataset, and
 accumulate the surviving triples. The stopping criterion is a fixed
 iteration count (the paper uses 5).
 
+One engine runs the loop. :meth:`Bootstrapper.run_source` reads the
+corpus from a :class:`~repro.corpus.stream.PageSource` shard by shard:
+page prep and tagging fan out per shard over a supervised worker pool
+(:mod:`repro.core.sharded`), while seed building, cleaning and folding
+run here on merged, already-small structures. :meth:`Bootstrapper.run`
+over a page list is a run over a one-shard source, which the pool
+executes inline. Output is bit-identical for any shard size, worker
+count and prep-cache state.
+
 Resilience: every stage body runs through :meth:`Bootstrapper._stage`,
 which retries a failed stage up to ``config.stage_retries`` times
 (stage bodies are pure functions of their inputs, so a retry of a
@@ -15,24 +24,35 @@ trace. The optional cleaning stages degrade further: when their retries
 are exhausted the stage is skipped with a ``stage_skip`` counter rather
 than failing the run — cleaning refines output, it is not required for
 one. With a ``checkpoint`` store attached, each completed iteration is
-snapshotted and ``run()`` resumes from the last snapshot instead of
-recomputing finished cycles.
+snapshotted (and each tagged shard, mid-iteration), and a re-run
+resumes from the last snapshot instead of recomputing finished work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..config import PipelineConfig
-from ..errors import FaultInjectionError, TrainingError
+from ..errors import (
+    FaultInjectionError,
+    PoisonedShardError,
+    StorageError,
+    TrainingError,
+)
+from ..ingest import Quarantine
+from ..perf.cache import FeatureCache
+from ..perf.prep_cache import PrepStore, shard_cache_path
+from ..runtime.memory import MemoryGovernor
+from ..runtime.trace import PipelineTrace
 from ..types import (
     Extraction,
     ProductPage,
-    Sentence,
     TaggedSentence,
     Triple,
 )
+from . import sharded
 from .cleaning import (
     SemanticCleaner,
     SemanticStats,
@@ -41,24 +61,16 @@ from .cleaning import (
     extractions_from_tagged,
     rebuild_tagged,
 )
-from .preprocess import (
-    Seed,
-    build_seed,
-    build_training_material,
-    discover_candidates,
-)
+from .preprocess import Seed, build_seed
 from .preprocess.aggregation import AttributeClusters
-from .preprocess.training_set import TrainingMaterial
 from .preprocess.value_cleaning import QueryLogLike
-from ..ingest import IngestGate, IngestResult, Quarantine
-from ..perf.cache import FeatureCache
-from ..runtime.trace import PipelineTrace
 from .tagger import make_tagger
-from .text import PageText, corpus_token_sentences, tokenize_pages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..corpus.stream import PageSource
     from ..runtime.checkpoint import CheckpointStore
     from ..runtime.faults import FaultPlan
+    from ..runtime.pool import ShardWorkerPool
 
 
 @dataclass(frozen=True)
@@ -92,9 +104,8 @@ class _IterationArtifacts:
     """Intermediate products one cycle hands to the next.
 
     Threaded through return values (never stashed on the bootstrapper)
-    so ``Bootstrapper.run`` is re-entrant: two interleaved or
-    concurrent runs of the same instance cannot observe each other's
-    extractions.
+    so two interleaved or concurrent runs of the same instance cannot
+    observe each other's extractions.
     """
 
     kept_extractions: list[Extraction]
@@ -107,14 +118,12 @@ class BootstrapResult:
 
     Attributes:
         seed: the assembled seed (pre-iteration state).
-        material: initial training material (None on a slimmed result —
-            see :meth:`slim`).
         seed_triples: triples known before any bootstrap cycle (table
             statements plus seed-tagged text), i.e. "iteration 0".
         iterations: one record per cycle, in order.
         attributes: canonical attribute names the run tagged.
         quarantine: the ingest gate's containment ledger (None when
-            the gate was disabled).
+            the gate was disabled and nothing was quarantined).
         halted_reason: why the iteration-health circuit breaker
             stopped the run early (``"rejection_rate"`` or
             ``"yield_collapse"``), or None for a run that completed.
@@ -123,25 +132,12 @@ class BootstrapResult:
     """
 
     seed: Seed
-    material: TrainingMaterial | None
     seed_triples: frozenset[Triple]
     iterations: tuple[IterationResult, ...]
     attributes: tuple[str, ...]
     quarantine: Quarantine | None = None
     halted_reason: str | None = None
     halted_at_iteration: int | None = None
-
-    def slim(self) -> "BootstrapResult":
-        """A copy without the training material.
-
-        The material — every labelled sentence plus the tokenized
-        unlabeled corpus — dwarfs the rest of the result; sweeps that
-        only read triples and metrics should not pay to pickle it
-        across a process boundary.
-        """
-        from dataclasses import replace
-
-        return replace(self, material=None)
 
     @property
     def final_triples(self) -> frozenset[Triple]:
@@ -171,40 +167,6 @@ class BootstrapResult:
         return {triple.product_id for triple in triples}
 
 
-def confidence_filtered_tag(
-    model,
-    unlabeled_sentences: Sequence[Sentence],
-    threshold: float,
-) -> tuple[list[TaggedSentence], list[Extraction]]:
-    """Tag with posterior confidences, dropping low-scoring spans.
-
-    Per-sentence independent (the model's confidence is a pure function
-    of one sentence), so the sharded tag workers
-    (:mod:`repro.core.sharded`) run it per shard and concatenation
-    reproduces the monolithic output exactly.
-    """
-    tagged_out: list[TaggedSentence] = []
-    extractions: list[Extraction] = []
-    for tagged, confidences in model.tag_with_confidence(
-        unlabeled_sentences
-    ):
-        sentence_extractions = extractions_from_tagged([tagged])
-        kept = [
-            extraction
-            for extraction, confidence in zip(
-                sentence_extractions, confidences
-            )
-            if confidence >= threshold
-        ]
-        if len(kept) != len(sentence_extractions):
-            (tagged,) = rebuild_tagged(
-                [tagged], kept, drop_unlabelled=False
-            )
-        tagged_out.append(tagged)
-        extractions.extend(kept)
-    return tagged_out, extractions
-
-
 def restrict_to_attributes(
     tagged: Sequence[TaggedSentence], allowed: frozenset[str]
 ) -> list[TaggedSentence]:
@@ -226,7 +188,8 @@ class Bootstrapper:
 
     Args:
         config: pipeline configuration (tagger backend, cleaning
-            switches, iteration count).
+            switches, iteration count, shard-pool size and memory
+            budget).
         attribute_subset: restrict the run to these canonical attribute
             names — the "specialized models" of Section VIII-D. None
             trains the single global model.
@@ -247,7 +210,6 @@ class Bootstrapper:
         # failure (disk full, I/O error) past the retry budget: the
         # run completes checkpoint-less instead of crashing.
         self._checkpoint_disabled = False
-        self._checkpoint_warning: str | None = None
 
     def run(
         self,
@@ -259,79 +221,148 @@ class Bootstrapper:
         resume: bool = True,
         faults: "FaultPlan | None" = None,
     ) -> BootstrapResult:
+        """Execute seed construction plus N bootstrap cycles over pages.
+
+        A run over a one-shard
+        :class:`~repro.corpus.stream.MaterializedPageSource`; see
+        :meth:`run_source` for the arguments.
+        """
+        from ..corpus.stream import MaterializedPageSource
+
+        pages = list(pages)
+        source = MaterializedPageSource(pages, shard_size=max(1, len(pages)))
+        return self.run_source(
+            source,
+            query_log,
+            trace,
+            checkpoint=checkpoint,
+            resume=resume,
+            faults=faults,
+        )
+
+    def run_source(
+        self,
+        source: "PageSource",
+        query_log: QueryLogLike,
+        trace: PipelineTrace | None = None,
+        *,
+        checkpoint: "CheckpointStore | None" = None,
+        resume: bool = True,
+        faults: "FaultPlan | None" = None,
+        cache_dir: str | os.PathLike | None = None,
+    ) -> BootstrapResult:
         """Execute seed construction plus N bootstrap cycles.
 
-        The method is stateless: every intermediate artifact lives in
-        locals or flows through return values, so one ``Bootstrapper``
-        can serve sequential or concurrent runs without leakage.
+        Every intermediate artifact lives in locals or flows through
+        return values, so one ``Bootstrapper`` can serve sequential
+        runs without leakage.
 
         Args:
-            pages: the category's product pages.
+            source: the category's page shards.
             query_log: search-log membership filter.
             trace: optional per-stage timing sink; a throwaway trace is
                 used when None so the instrumented path is the only
                 path.
             checkpoint: optional snapshot store; every completed
-                iteration is written to it, and (with ``resume=True``)
-                a run whose directory already holds snapshots continues
-                from the last completed iteration instead of redoing
-                them. The seed phase is recomputed — it is deterministic
-                — and verified against the stored digest.
+                iteration (and, mid-iteration, every tagged shard) is
+                written to it, and (with ``resume=True``) a run whose
+                directory already holds snapshots continues from them
+                instead of redoing the work. The seed phase is
+                recomputed — it is deterministic — and verified against
+                the stored digest.
             resume: with ``checkpoint``, False discards any existing
                 snapshots and starts over.
             faults: optional fault-injection plan; its hooks fire at
-                the top of every stage body.
+                the top of every stage body, in pool workers and
+                inside shard prep.
+            cache_dir: directory for the shard cache files — with the
+                prep cache enabled this becomes a persistent prep
+                artifact root (a keyed subdirectory holds the files).
+                Defaults to ``<checkpoint>/prep_cache`` with a
+                checkpoint, or a self-cleaning temporary directory
+                (backed by the process-global memory tier) without one.
         """
+        from ..runtime.pool import ShardWorkerPool
+
         trace = trace if trace is not None else PipelineTrace()
-        pages = list(pages)
-        if faults is not None:
-            pages = self._apply_page_faults(pages, faults, trace)
-        ingest_result: IngestResult | None = None
-        # The gate parses every admitted page while validating it;
-        # keeping those DOM roots lets tokenization and candidate
-        # discovery skip their own parse passes (single-pass prep —
-        # output-identical, the root is the tree of the kept html).
-        roots = None
-        if self.config.ingest.enabled:
-            ingest_result = self._stage(
-                trace, faults, "ingest", None,
-                lambda stage: self._ingest(stage, pages, trace),
+        self._checkpoint_disabled = False
+        if checkpoint is not None and checkpoint.faults is None:
+            checkpoint.faults = faults
+        governor: MemoryGovernor | None = None
+        if self.config.memory_budget_mb is not None or (
+            faults is not None and faults.has_memory_faults()
+        ):
+            governor = MemoryGovernor(
+                self.config.memory_budget_mb, faults=faults
             )
-            pages = ingest_result.pages
-            roots = ingest_result.roots
-            # Detach the trees from the (long-lived) result so they
-            # can be freed once discovery is done.
-            object.__setattr__(ingest_result, "roots", None)
-        page_texts = self._stage(
-            trace, faults, "tokenize", None,
-            lambda stage: self._tokenize(stage, pages, roots),
+        with sharded.shard_cache(
+            self.config, source, trace, checkpoint, faults, cache_dir
+        ) as (cache, prep_store):
+            pool = ShardWorkerPool(self._workers(source.shard_count))
+            try:
+                return self._run(
+                    source,
+                    query_log,
+                    trace,
+                    cache,
+                    checkpoint,
+                    resume,
+                    faults,
+                    prep_store,
+                    pool=pool,
+                    governor=governor,
+                )
+            finally:
+                pool.close()
+
+    def _run(
+        self,
+        source: "PageSource",
+        query_log: QueryLogLike,
+        trace: PipelineTrace,
+        cache: str,
+        checkpoint: "CheckpointStore | None",
+        resume: bool,
+        faults: "FaultPlan | None",
+        prep_store: PrepStore | None,
+        *,
+        pool: "ShardWorkerPool",
+        governor: MemoryGovernor | None,
+    ) -> BootstrapResult:
+        prep = self._stage(
+            trace, faults, "shard_prep", None,
+            lambda stage: self._prep(
+                stage, source, cache, trace, faults, prep_store,
+                pool=pool, governor=governor,
+            ),
         )
-        candidates = self._stage(
-            trace, faults, "candidate_discovery", None,
-            lambda stage: self._discover(stage, pages, roots),
+        stub_pages = (
+            [ProductPage("", source.category, "", prep.locale)]
+            if prep.locale is not None
+            else []
         )
-        roots = None  # free the trees before the long training phase
         seed = self._stage(
             trace, faults, "seed_build", None,
-            lambda stage: self._build_seed(stage, pages, query_log,
-                                           candidates),
+            lambda stage: self._build_seed(
+                stage, stub_pages, query_log, prep.candidates
+            ),
         )
         material = self._stage(
             trace, faults, "training_material", None,
-            lambda stage: self._build_material(stage, page_texts, seed,
-                                               candidates),
+            lambda stage: self._build_material(
+                stage, cache, source.shard_count, prep, seed
+            ),
         )
 
         attributes = seed.attributes
         seed_triples = frozenset(seed.table_triples | material.text_triples)
-        corpus = corpus_token_sentences(page_texts)
-        unlabeled_sentences = [
-            sentence
-            for page_text in material.unlabeled_pages
-            for sentence in page_text.sentences
-        ]
+        corpus = (
+            sharded.collect_corpus(cache, source.shard_count, prep)
+            if self.config.enable_semantic_cleaning
+            else []
+        )
 
-        seed_labeled = self._seed_labeled(material.labeled)
+        seed_labeled = material.seed_labeled
         dataset: list[TaggedSentence] = list(seed_labeled)
         cumulative: set[Triple] = set(seed_triples)
         iterations: list[IterationResult] = []
@@ -351,12 +382,10 @@ class Bootstrapper:
             )
         start_iteration = 1
         if checkpoint is not None:
-            from ..errors import StorageError
-
             restored = None
             try:
                 restored = self._open_checkpoint(
-                    checkpoint, resume, pages, seed_triples, attributes
+                    checkpoint, resume, source, seed_triples, attributes
                 )
             except StorageError as error:
                 self._disable_checkpoint(trace, error)
@@ -369,13 +398,13 @@ class Bootstrapper:
                     "checkpoint_resume",
                     iterations=restored.completed_iterations,
                 )
-            if ingest_result is not None and not self._checkpoint_disabled:
+            if self.config.ingest.enabled and not self._checkpoint_disabled:
                 # The gate is deterministic, so a resumed run must
                 # reproduce the stored ledger bit-for-bit; divergence
                 # raises instead of splicing two different corpora.
                 try:
                     checkpoint.record_quarantine(
-                        ingest_result.quarantine.to_payload()
+                        prep.quarantine.to_payload()
                     )
                 except StorageError as error:
                     self._disable_checkpoint(trace, error)
@@ -385,12 +414,17 @@ class Bootstrapper:
             result, artifacts = self._iterate(
                 iteration,
                 dataset,
-                unlabeled_sentences,
+                cache,
+                source.shard_count,
+                prep,
                 corpus,
                 cumulative,
                 trace,
                 faults,
                 feature_cache=feature_cache,
+                checkpoint=checkpoint,
+                pool=pool,
+                governor=governor,
             )
             # Iteration-health circuit breaker: a collapsed yield or an
             # exploding cleaning-rejection rate means the model is
@@ -412,25 +446,29 @@ class Bootstrapper:
                 self._stage(
                     trace, faults, "checkpoint_write", iteration,
                     lambda stage: self._snapshot(
-                        stage, checkpoint, result, dataset
+                        stage, trace, checkpoint, result, dataset
                     ),
                 )
+                if not self._checkpoint_disabled:
+                    # The iteration snapshot supersedes its shard files.
+                    checkpoint.clear_shard_tags(iteration)
         if isinstance(feature_cache, FeatureCache):
             trace.count(
                 "feature_cache",
                 hits=feature_cache.hits,
                 misses=feature_cache.misses,
             )
+        if governor is not None and governor.samples:
+            trace.count("memory_pressure", **governor.counters())
         self._record_peak_rss(trace)
         return BootstrapResult(
             seed=seed,
-            material=material,
             seed_triples=seed_triples,
             iterations=tuple(iterations),
             attributes=attributes,
             quarantine=(
-                ingest_result.quarantine
-                if ingest_result is not None
+                prep.quarantine
+                if self.config.ingest.enabled or len(prep.quarantine)
                 else None
             ),
             halted_reason=halted_reason,
@@ -490,25 +528,6 @@ class Bootstrapper:
             trace.count("stage_skip", iteration, **{name: 1})
             return None
 
-    def _apply_page_faults(
-        self,
-        pages: list[ProductPage],
-        faults: "FaultPlan",
-        trace: PipelineTrace,
-    ) -> list[ProductPage]:
-        corrupted_pages = faults.corrupt_pages(pages)
-        corrupted = sum(
-            1
-            for before, after in zip(pages, corrupted_pages)
-            if before.html != after.html
-        )
-        # "dirt" faults can *grow* the corpus (duplicate-id injection);
-        # appended pages are corruption too, beyond what zip() sees.
-        corrupted += max(len(corrupted_pages) - len(pages), 0)
-        if corrupted:
-            trace.count("pages_corrupted", pages=corrupted)
-        return corrupted_pages
-
     def _health_trip(
         self,
         result: IterationResult,
@@ -551,15 +570,15 @@ class Bootstrapper:
         self,
         checkpoint: "CheckpointStore",
         resume: bool,
-        pages: list[ProductPage],
+        source: "PageSource",
         seed_triples: frozenset[Triple],
         attributes: tuple[str, ...],
     ):
         """Validate/create the store; return restore state or None."""
-        from ..runtime.checkpoint import run_fingerprint, seed_digest
+        from ..runtime.checkpoint import seed_digest, source_run_fingerprint
 
-        fingerprint = run_fingerprint(
-            pages, self.config, self.attribute_subset
+        fingerprint = source_run_fingerprint(
+            source.fingerprint(), self.config, self.attribute_subset
         )
         digest = seed_digest(seed_triples, attributes)
         if resume and checkpoint.has_run():
@@ -568,37 +587,175 @@ class Bootstrapper:
         checkpoint.begin(fingerprint, digest, self.config.iterations)
         return None
 
+    #: Attempts a snapshot write gets before checkpointing is disabled
+    #: for the rest of the run.
+    _SNAPSHOT_ATTEMPTS = 3
+
+    def _snapshot(self, stage, trace, checkpoint, result, dataset) -> None:
+        """Write one iteration snapshot; degrade on storage failure.
+
+        Classified environment failures (:class:`~repro.errors.
+        StorageError`: disk full, I/O error) are retried with the
+        deterministic job backoff; past the budget the run drops to
+        checkpoint-less with a counted ``checkpoint_disabled`` warning
+        — losing resumability must never lose the run itself.
+        """
+        if self._checkpoint_disabled:
+            stage.add(skipped=1)
+            return
+        import time as _time
+
+        from ..runtime.jobs import retry_backoff
+
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                checkpoint.write_iteration(result, dataset)
+                stage.add(iterations=1)
+                return
+            except StorageError as error:
+                if attempt < self._SNAPSHOT_ATTEMPTS:
+                    _time.sleep(retry_backoff("checkpoint_write", attempt))
+                    continue
+                stage.add(write_failures=attempt)
+                self._disable_checkpoint(trace, error)
+                return
+
+    def _disable_checkpoint(self, trace: PipelineTrace, error) -> None:
+        """Degrade to checkpoint-less after a storage failure."""
+        self._checkpoint_disabled = True
+        trace.count("checkpoint_disabled", failures=1)
+
+    def _workers(self, count: int) -> int:
+        """Pool size for ``count`` shards: ``config.pool_workers`` or
+        the visible CPUs (``REPRO_WORKERS``-aware), capped at
+        ``count``."""
+        from ..runtime.runner import default_workers
+
+        if self.config.pool_workers is not None:
+            return max(1, self.config.pool_workers)
+        return default_workers(count)
+
+    def _wave_workers(
+        self, governor: MemoryGovernor | None, pending: int
+    ) -> int | None:
+        """Slot cap for one pool wave: throttled under memory pressure."""
+        if governor is None or not governor.under_pressure():
+            return None
+        workers = governor.throttle_workers(self._workers(pending))
+        governor.relieve()
+        return workers
+
     # -- stage bodies --------------------------------------------------------
 
-    def _ingest(
-        self, stage, pages: list[ProductPage], trace: PipelineTrace
-    ) -> IngestResult:
-        gate = IngestGate(self.config.ingest)
-        result = gate.process(pages, keep_roots=True)
-        counts = result.quarantine.counts_by_check()
+    def _prep(
+        self,
+        stage,
+        source: "PageSource",
+        cache: str,
+        trace: PipelineTrace,
+        faults: "FaultPlan | None",
+        prep_store: PrepStore | None,
+        *,
+        pool: "ShardWorkerPool",
+        governor: MemoryGovernor | None,
+    ) -> sharded.PrepSummary:
+        """Prep every shard (cache hits replay), then merge in order."""
+        page_faults = faults is not None and faults.has_page_faults()
+        context = sharded.PrepContext(
+            source=source,
+            ingest=(
+                self.config.ingest if self.config.ingest.enabled else None
+            ),
+            cache_dir=cache,
+            faults=faults if page_faults else None,
+        )
+        shard_results: dict[int, tuple[list, dict]] = {}
+        pending: list[int] = []
+        for index in range(source.shard_count):
+            loaded = (
+                prep_store.load(index) if prep_store is not None else None
+            )
+            if loaded is not None:
+                shard_results[index] = loaded
+            else:
+                pending.append(index)
+        failures: dict = {}
+        if pending:
+            results, failures, report = pool.run(
+                sharded.prep_shard,
+                context,
+                pending,
+                stage="shard_prep",
+                faults=faults,
+                max_workers=self._wave_workers(governor, len(pending)),
+            )
+            corrupted_pages = 0
+            for index in sorted(results):
+                _, outcomes, warnings, fault_counts = results[index]
+                shard_results[index] = (outcomes, warnings)
+                if prep_store is not None:
+                    prep_store.store(index, outcomes, warnings)
+                if fault_counts is not None:
+                    injected, corrupted, reports = fault_counts
+                    faults.absorb_injected(injected)
+                    faults.dirt_reports.extend(reports)
+                    corrupted_pages += corrupted
+            if corrupted_pages:
+                trace.count("pages_corrupted", pages=corrupted_pages)
+            if failures and self.config.ingest.enabled and (
+                self.config.ingest.policy == "strict"
+            ):
+                index, failure = min(failures.items())
+                raise PoisonedShardError(
+                    "shard_prep", index, failure.attempts, failure.detail
+                )
+            for index in failures:
+                # A killed attempt may have sealed the atomic cache
+                # write before dying; remove the artifact so material,
+                # corpus streaming and tagging all see the same hole.
+                cache_file = shard_cache_path(cache, index)
+                cache_file.unlink(missing_ok=True)
+                cache_file.with_name(
+                    f"shard_{index:04d}.meta.json"
+                ).unlink(missing_ok=True)
+            counts = report.as_counts()
+            if any(counts.values()):
+                trace.count("pool_supervision", **counts)
+        prep = sharded.merge_prep(
+            shard_results, failures, source.shard_count, self.config.ingest
+        )
+        counts = prep.quarantine.counts_by_check()
         if counts:
             trace.count("quarantine", **counts)
-        if result.repaired:
-            trace.count("ingest_repair", **result.repaired)
+        if prep.repaired:
+            trace.count("ingest_repair", **prep.repaired)
+        if prep.soft_budget_trips:
+            trace.count("parse_budget_soft", trips=prep.soft_budget_trips)
+        if prep_store is not None:
+            trace.count(
+                "prep_cache",
+                hits=prep_store.hits,
+                misses=prep_store.misses,
+            )
+            if prep_store.disabled:
+                trace.count(
+                    "prep_cache_disabled",
+                    failures=prep_store.write_failures,
+                )
         stage.add(
-            pages_in=result.pages_in,
-            pages_kept=len(result.pages),
-            quarantined=len(result.quarantine),
-            repaired=result.repaired_total,
+            pages_in=source.page_count,
+            pages_kept=prep.pages_kept,
+            quarantined=len(prep.quarantine),
+            repaired=sum(prep.repaired.values()),
+            shards=source.shard_count,
+            candidates=len(prep.candidates),
+            cached_shards=(
+                prep_store.hits if prep_store is not None else 0
+            ),
         )
-        return result
-
-    def _tokenize(
-        self, stage, pages: list[ProductPage], roots=None
-    ) -> list[PageText]:
-        page_texts = tokenize_pages(pages, roots)
-        stage.add(pages=len(pages))
-        return page_texts
-
-    def _discover(self, stage, pages: list[ProductPage], roots=None):
-        candidates = discover_candidates(pages, roots)
-        stage.add(candidates=len(candidates))
-        return candidates
+        return prep
 
     def _build_seed(
         self, stage, pages: list[ProductPage], query_log, candidates
@@ -618,12 +775,23 @@ class Bootstrapper:
         return seed
 
     def _build_material(
-        self, stage, page_texts, seed: Seed, candidates
-    ) -> TrainingMaterial:
-        material = build_training_material(page_texts, seed, candidates)
+        self,
+        stage,
+        cache: str,
+        shard_count: int,
+        prep: sharded.PrepSummary,
+        seed: Seed,
+    ) -> sharded.StreamedMaterial:
+        material = sharded.stream_material(
+            cache,
+            shard_count,
+            prep,
+            seed,
+            self.config.max_labeled_sentences,
+        )
         stage.add(
-            labeled_sentences=len(material.labeled),
-            unlabeled_pages=len(material.unlabeled_pages),
+            labeled_sentences=material.labeled_total,
+            unlabeled_pages=material.unlabeled_pages,
         )
         return material
 
@@ -634,49 +802,6 @@ class Bootstrapper:
         dataset = self._next_dataset(seed_labeled, artifacts)
         stage.add(dataset_sentences=len(dataset))
         return dataset
-
-    #: Attempts a snapshot write gets before checkpointing is disabled
-    #: for the rest of the run.
-    _SNAPSHOT_ATTEMPTS = 3
-
-    def _snapshot(self, stage, checkpoint, result, dataset) -> None:
-        """Write one iteration snapshot; degrade on storage failure.
-
-        Classified environment failures (:class:`~repro.errors.
-        StorageError`: disk full, I/O error) are retried with the
-        deterministic job backoff; past the budget the run drops to
-        checkpoint-less with a counted ``checkpoint_disabled`` warning
-        — losing resumability must never lose the run itself.
-        """
-        if self._checkpoint_disabled:
-            stage.add(skipped=1)
-            return
-        import time as _time
-
-        from ..errors import StorageError
-        from ..runtime.jobs import retry_backoff
-
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                checkpoint.write_iteration(result, dataset)
-                stage.add(iterations=1)
-                return
-            except StorageError as error:
-                if attempt < self._SNAPSHOT_ATTEMPTS:
-                    _time.sleep(retry_backoff("checkpoint_write", attempt))
-                    continue
-                self._checkpoint_disabled = True
-                self._checkpoint_warning = str(error)
-                stage.add(checkpoint_disabled=1, write_failures=attempt)
-                return
-
-    def _disable_checkpoint(self, trace: PipelineTrace, error) -> None:
-        """Degrade to checkpoint-less after a storage failure."""
-        self._checkpoint_disabled = True
-        self._checkpoint_warning = str(error)
-        trace.count("checkpoint_disabled", failures=1)
 
     # -- internals -----------------------------------------------------------
 
@@ -721,13 +846,21 @@ class Bootstrapper:
         self,
         iteration: int,
         dataset: list[TaggedSentence],
-        unlabeled_sentences: list[Sentence],
+        cache: str,
+        shard_count: int,
+        prep: sharded.PrepSummary,
         corpus: list[list[str]],
         cumulative: set[Triple],
         trace: PipelineTrace,
-        faults: "FaultPlan | None" = None,
+        faults: "FaultPlan | None",
         feature_cache: FeatureCache | bool | None = None,
+        checkpoint: "CheckpointStore | None" = None,
+        *,
+        pool: "ShardWorkerPool",
+        governor: MemoryGovernor | None = None,
     ) -> tuple[IterationResult, _IterationArtifacts]:
+        if self._checkpoint_disabled:
+            checkpoint = None
         if not dataset:
             raise TrainingError(
                 "seed produced no labelled sentences; the category has "
@@ -739,25 +872,6 @@ class Bootstrapper:
                 stage, iteration, dataset, feature_cache
             ),
         )
-        self._count_trainer_warnings(model, iteration, trace)
-        tagged, extractions = self._stage(
-            trace, faults, "tagger_tag", iteration,
-            lambda stage: self._tag(stage, model, unlabeled_sentences),
-        )
-        return self._finish_iteration(
-            iteration,
-            dataset,
-            tagged,
-            extractions,
-            corpus,
-            cumulative,
-            trace,
-            faults,
-        )
-
-    def _count_trainer_warnings(
-        self, model, iteration: int, trace: PipelineTrace
-    ) -> None:
         # Non-fatal trainer warnings (e.g. an L-BFGS line-search abort
         # degraded to best-so-far weights) become counters so a run
         # that limped through training is auditable via
@@ -765,25 +879,13 @@ class Bootstrapper:
         warnings = getattr(model, "training_diagnostics", None)
         if warnings:
             trace.count("trainer_warning", iteration, **warnings)
-
-    def _finish_iteration(
-        self,
-        iteration: int,
-        dataset: list[TaggedSentence],
-        tagged: list[TaggedSentence],
-        extractions: list[Extraction],
-        corpus: list[list[str]],
-        cumulative: set[Triple],
-        trace: PipelineTrace,
-        faults: "FaultPlan | None" = None,
-    ) -> tuple[IterationResult, _IterationArtifacts]:
-        """Everything after tagging: cleaning, accumulation, records.
-
-        Shared by the monolithic path and the sharded one
-        (:mod:`repro.core.sharded`), which reaches this point with
-        ``tagged`` merged from shard workers — identical inputs here
-        guarantee identical iteration output.
-        """
+        tagged, extractions = self._stage(
+            trace, faults, "tagger_tag", iteration,
+            lambda stage: self._tag(
+                stage, model, iteration, cache, shard_count, prep,
+                checkpoint, faults, trace, pool=pool, governor=governor,
+            ),
+        )
         candidate_count = len(extractions)
 
         veto_stats: VetoStats | None = None
@@ -844,23 +946,102 @@ class Bootstrapper:
         return model
 
     def _tag(
-        self, stage, model, unlabeled_sentences: list[Sentence]
+        self,
+        stage,
+        model,
+        iteration: int,
+        cache: str,
+        shard_count: int,
+        prep: sharded.PrepSummary,
+        checkpoint: "CheckpointStore | None",
+        faults: "FaultPlan | None",
+        trace: PipelineTrace,
+        *,
+        pool: "ShardWorkerPool",
+        governor: MemoryGovernor | None = None,
     ) -> tuple[list[TaggedSentence], list[Extraction]]:
-        if (
-            self.config.min_confidence > 0.0
-            and hasattr(model, "tag_with_confidence")
-        ):
-            tagged, extractions = self._tag_with_confidence_filter(
-                model, unlabeled_sentences
+        """Fan tagging out per shard; merge in shard-index order."""
+        shard_results: list[tuple[list[TaggedSentence], int] | None] = [
+            None
+        ] * shard_count
+        pending: list[int] = []
+        resumed = 0
+        for index in range(shard_count):
+            if index in prep.poisoned:
+                # Poisoned during prep: the shard has no cache file and
+                # is already quarantined — tag nothing for it.
+                shard_results[index] = ([], 0)
+                continue
+            if checkpoint is not None:
+                cached = checkpoint.load_shard_tags(iteration, index)
+                if cached is not None:
+                    shard_results[index] = cached
+                    resumed += 1
+                    continue
+            pending.append(index)
+        if pending:
+            context = sharded.TagContext(
+                cache_dir=cache,
+                checkpoint_dir=(
+                    str(checkpoint.directory)
+                    if checkpoint is not None
+                    else None
+                ),
+                iteration=iteration,
+                model=model,
+                min_confidence=self.config.min_confidence,
+                dropped=prep.dropped,
+                faults=faults,
             )
-        else:
-            tagged = model.tag(unlabeled_sentences)
-            extractions = extractions_from_tagged(tagged)
+            results, failures, report = pool.run(
+                sharded.tag_shard,
+                context,
+                pending,
+                stage="shard_tag",
+                faults=faults,
+                max_workers=self._wave_workers(governor, len(pending)),
+            )
+            for index, spans, count in results.values():
+                shard_results[index] = (spans, count)
+            for index, failure in sorted(failures.items()):
+                if (
+                    self.config.ingest.enabled
+                    and self.config.ingest.policy == "strict"
+                ):
+                    raise PoisonedShardError(
+                        "shard_tag", index, failure.attempts, failure.detail
+                    )
+                prep.quarantine.add(
+                    sharded.poisoned_entry(
+                        index,
+                        failure,
+                        f"tag shard {index} (iteration {iteration})",
+                    )
+                )
+                shard_results[index] = ([], 0)
+            if failures:
+                trace.count(
+                    "quarantine", iteration, poisoned_shard=len(failures)
+                )
+            counts = report.as_counts()
+            if any(counts.values()):
+                trace.count("pool_supervision", iteration, **counts)
+        if resumed:
+            trace.count("shard_resume", iteration, shards=resumed)
+        merged: list[TaggedSentence] = []
+        total_sentences = 0
+        for entry in shard_results:
+            assert entry is not None
+            spans, count = entry
+            merged.extend(spans)
+            total_sentences += count
+        extractions = extractions_from_tagged(merged)
         stage.add(
-            sentences=len(unlabeled_sentences),
+            sentences=total_sentences,
             extractions=len(extractions),
+            shards=shard_count,
         )
-        return tagged, extractions
+        return merged, extractions
 
     def _veto(
         self, stage, extractions: list[Extraction], candidate_count: int
@@ -884,21 +1065,6 @@ class Bootstrapper:
         stage.add(kept=len(kept), removed=semantic_stats.values_removed)
         return kept, semantic_stats
 
-    def _tag_with_confidence_filter(
-        self,
-        model,
-        unlabeled_sentences: list[Sentence],
-    ) -> tuple[list[TaggedSentence], list[Extraction]]:
-        """Tag with posterior confidences, dropping low-scoring spans.
-
-        The confidence-filter extension: spans whose posterior span
-        confidence is below ``config.min_confidence`` never become
-        candidates (so they also never reach the training set).
-        """
-        return confidence_filtered_tag(
-            model, unlabeled_sentences, self.config.min_confidence
-        )
-
     def _next_dataset(
         self,
         seed_labeled: Sequence[TaggedSentence],
@@ -909,21 +1075,6 @@ class Bootstrapper:
             artifacts.tagged, artifacts.kept_extractions
         )
         return list(seed_labeled) + cleaned
-
-    def _seed_labeled(
-        self, labeled: Sequence[TaggedSentence]
-    ) -> list[TaggedSentence]:
-        """The seed-labelled dataset slice, bounded by configuration.
-
-        ``config.max_labeled_sentences`` keeps the first N sentences in
-        corpus order — a deterministic prefix, so the monolithic and
-        sharded paths (which both build ``labeled`` in global page
-        order) cap to the identical dataset.
-        """
-        cap = self.config.max_labeled_sentences
-        if cap is None or len(labeled) <= cap:
-            return list(labeled)
-        return list(labeled[:cap])
 
     def _record_peak_rss(self, trace: PipelineTrace) -> None:
         """Record the run-wide peak RSS (self + reaped workers)."""

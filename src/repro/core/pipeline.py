@@ -146,18 +146,6 @@ class PipelineResult:
             ).get("runs", 0),
         }
 
-    def slim(self) -> "PipelineResult":
-        """A copy whose bootstrap record dropped its training material.
-
-        Triples, per-iteration records, the trace and every metric
-        survive; only the bulky intermediate corpus is gone. Used by
-        sweep workers (``RunnerJob.slim_results``) to keep result
-        pickles small.
-        """
-        from dataclasses import replace
-
-        return replace(self, bootstrap=self.bootstrap.slim())
-
     def perf_counters(self) -> dict:
         """Performance observables of the run.
 
@@ -165,8 +153,8 @@ class PipelineResult:
         cross-iteration feature cache's ``hits``/``misses`` (both zero
         when the cache was disabled or the backend has none) —
         ``"prep_cache"`` — shard-prep artifact cache ``hits``/
-        ``misses`` in cached shards (both zero on monolithic runs or
-        with the cache disabled/bypassed) — and ``"stage_seconds"`` —
+        ``misses`` in cached shards (both zero with the cache disabled
+        or bypassed) — and ``"stage_seconds"`` —
         cumulative wall-clock per pipeline stage from the trace.
         Empty/zero without a trace.
         """
@@ -244,10 +232,11 @@ class PAEPipeline:
     ) -> PipelineResult:
         """Extract attribute-value triples from product pages.
 
-        Re-entrant: every run constructs a fresh
-        :class:`~repro.core.bootstrap.Bootstrapper` (itself stateless),
-        so one pipeline instance can be reused across datasets — or
-        driven concurrently — without any state bleeding between runs.
+        A :meth:`run_streamed` over the pages as one shard
+        (:class:`~repro.corpus.stream.MaterializedPageSource` with
+        ``shard_size=len(pages)``), which the shard pool runs inline —
+        the same engine, and the same output, as any other shard
+        layout of the same pages.
 
         Args:
             pages: the category's product pages (HTML).
@@ -257,10 +246,7 @@ class PAEPipeline:
                 :class:`PipelineTrace` is created when omitted and
                 surfaced on the result either way.
             checkpoint_dir: optional directory for crash-safe
-                per-iteration snapshots. A run killed at any point can
-                be re-invoked with the same arguments and resumes from
-                the last completed iteration, producing bit-identical
-                ``final_triples`` to an uninterrupted run.
+                snapshots; see :meth:`run_streamed`.
             resume: with ``checkpoint_dir``, False discards existing
                 snapshots and starts over instead of resuming.
             faults: optional
@@ -271,26 +257,16 @@ class PAEPipeline:
         Returns:
             A :class:`PipelineResult`.
         """
-        trace = trace if trace is not None else PipelineTrace()
-        checkpoint = None
-        if checkpoint_dir is not None:
-            from ..runtime.checkpoint import CheckpointStore
+        from ..corpus.stream import MaterializedPageSource
 
-            checkpoint = CheckpointStore(checkpoint_dir, faults=faults)
-        bootstrapper = Bootstrapper(self.config, self.attribute_subset)
-        with _checkpoint_lock(checkpoint):
-            bootstrap = bootstrapper.run(
-                pages,
-                query_log,
-                trace=trace,
-                checkpoint=checkpoint,
-                resume=resume,
-                faults=faults,
-            )
-        return PipelineResult(
-            bootstrap=bootstrap,
-            product_count=len(pages),
+        pages = list(pages)
+        return self.run_streamed(
+            MaterializedPageSource(pages, shard_size=max(1, len(pages))),
+            query_log,
             trace=trace,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            faults=faults,
         )
 
     def run_streamed(
@@ -302,19 +278,20 @@ class PAEPipeline:
         checkpoint_dir: str | None = None,
         resume: bool = True,
         faults: "FaultPlan | None" = None,
-        shard_workers: int | None = None,
         cache_dir: str | None = None,
     ) -> PipelineResult:
         """Extract triples from a streamed, sharded page source.
 
-        The bounded-memory twin of :meth:`run`: pages come from a
-        :class:`~repro.corpus.stream.PageSource` shard by shard, the
-        per-iteration tagging fans out across worker processes, and the
-        result is bit-identical to :meth:`run` on the materialized page
-        list of the same source — for any shard size and worker count
-        (see :mod:`repro.core.sharded` for the two documented edge-case
-        divergences). Peak RSS is recorded on the trace and surfaced
-        via ``resilience_counters()["peak_rss_bytes"]``.
+        Re-entrant: every run constructs a fresh
+        :class:`~repro.core.bootstrap.Bootstrapper`, so one pipeline
+        instance can be reused across datasets — or driven
+        concurrently — without any state bleeding between runs. Pages
+        come from a :class:`~repro.corpus.stream.PageSource` shard by
+        shard, page prep and per-iteration tagging fan out across
+        ``config.pool_workers`` worker processes, and the result is
+        bit-identical for any shard size and worker count. Peak RSS is
+        recorded on the trace and surfaced via
+        ``resilience_counters()["peak_rss_bytes"]``.
 
         Args:
             source: the category's page shards
@@ -323,16 +300,16 @@ class PAEPipeline:
                 :class:`~repro.corpus.stream.MaterializedPageSource`).
             query_log: search-log membership filter.
             trace: optional stage-timing sink.
-            checkpoint_dir: optional crash-safe snapshot directory;
-                adds per-shard tag snapshots on top of the
-                per-iteration ones, so a killed run resumes
-                mid-iteration without re-tagging completed shards.
+            checkpoint_dir: optional crash-safe snapshot directory:
+                per-iteration snapshots plus per-shard tag snapshots,
+                so a run killed at any point can be re-invoked with the
+                same arguments and resumes — mid-iteration, without
+                re-tagging completed shards — producing bit-identical
+                ``final_triples`` to an uninterrupted run.
             resume: with ``checkpoint_dir``, False restarts.
             faults: optional fault plan; page-corruption hooks fire
-                inside shard prep workers with shard-deterministic
-                decisions (and disable the prep cache for the run).
-            shard_workers: worker processes per shard fan-out (None =
-                visible CPUs).
+                inside shard prep with per-shard decisions (and disable
+                the prep cache for the run).
             cache_dir: override for the shard cache directory; with
                 the prep cache enabled it doubles as a persistent
                 prep-artifact root reused by later runs.
@@ -347,13 +324,7 @@ class PAEPipeline:
             from ..runtime.checkpoint import CheckpointStore
 
             checkpoint = CheckpointStore(checkpoint_dir, faults=faults)
-        from .sharded import ShardedBootstrapper
-
-        bootstrapper = ShardedBootstrapper(
-            self.config,
-            self.attribute_subset,
-            shard_workers=shard_workers,
-        )
+        bootstrapper = Bootstrapper(self.config, self.attribute_subset)
         with _checkpoint_lock(checkpoint):
             bootstrap = bootstrapper.run_source(
                 source,

@@ -71,24 +71,16 @@ def discover_page_candidates(
 
 def discover_candidates(
     pages: Iterable[ProductPage],
-    roots: Sequence[Element] | None = None,
 ) -> list[RawCandidate]:
     """Extract raw candidates from every page's dictionary tables.
 
     Rows with an empty tokenized name or value are skipped; duplicate
-    rows within one page are kept once. ``roots``, when given, must
-    align 1:1 with ``pages`` (pre-parsed DOM trees to reuse).
+    rows within one page are kept once.
     """
-    if roots is None:
-        return [
-            candidate
-            for page in pages
-            for candidate in discover_page_candidates(page)
-        ]
     return [
         candidate
-        for page, root in zip(pages, roots)
-        for candidate in discover_page_candidates(page, root)
+        for page in pages
+        for candidate in discover_page_candidates(page)
     ]
 
 

@@ -72,7 +72,7 @@ def label_page(
     """Seed-tag one table-bearing page's sentences.
 
     The per-page unit of :func:`build_training_material`, factored out
-    so the sharded bootstrap can label shard-resident pages without
+    so the bootstrap can label shard-resident pages without
     holding the whole corpus (:mod:`repro.core.sharded`). Deterministic
     per page, so page order alone fixes the global labelled dataset.
     """

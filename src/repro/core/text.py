@@ -49,20 +49,9 @@ def tokenize_page(
     return PageText(page.product_id, page.locale, tuple(sentences))
 
 
-def tokenize_pages(
-    pages: Iterable[ProductPage],
-    roots: Sequence[Element] | None = None,
-) -> list[PageText]:
-    """Tokenize a page collection, preserving order.
-
-    ``roots``, when given, must align 1:1 with ``pages`` (pre-parsed
-    DOM trees to reuse instead of re-parsing each document).
-    """
-    if roots is None:
-        return [tokenize_page(page) for page in pages]
-    return [
-        tokenize_page(page, root) for page, root in zip(pages, roots)
-    ]
+def tokenize_pages(pages: Iterable[ProductPage]) -> list[PageText]:
+    """Tokenize a page collection, preserving order."""
+    return [tokenize_page(page) for page in pages]
 
 
 def corpus_token_sentences(

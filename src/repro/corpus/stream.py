@@ -1,7 +1,7 @@
 """Streaming page sources: shard-by-shard corpus iteration.
 
-The monolithic path materializes every page of a category before the
-pipeline starts — fine at 120 products, fatal at the paper's 200k. A
+Materializing every page of a category before the pipeline starts is
+fine at 120 products and fatal at the paper's 200k. A
 :class:`PageSource` turns the corpus into an indexed sequence of
 *shards*: bounded page batches that can be generated, loaded and
 processed independently, so no stage ever holds the full page set.
@@ -22,13 +22,14 @@ Three sources cover the three ways a corpus exists:
   ``check="jsonl"`` :class:`~repro.ingest.quarantine.QuarantineEntry`
   in the row's place so the run's ledger keeps its position.
 * :class:`MaterializedPageSource` — an in-memory page list presented
-  through the shard interface. No memory is saved; it exists so the
-  sharded bootstrap can be compared bit-for-bit against the monolithic
-  path on the same pages (the ``make verify`` smoke).
+  through the shard interface. No memory is saved; it is how a page
+  list enters the bootstrap (``PAEPipeline.run`` wraps its pages as
+  one shard), and how the same pages are re-run under other shard
+  layouts for the bit-identity checks (the ``make verify`` smoke).
 
 Every source carries a :meth:`~PageSource.fingerprint` — a stable
-digest of the source identity — that the sharded checkpoint layer
-folds into its run fingerprint in place of hashing every page's HTML.
+digest of the source identity — that the checkpoint layer folds into
+its run fingerprint in place of hashing every page's HTML.
 """
 
 from __future__ import annotations
@@ -210,8 +211,9 @@ class GeneratedPageSource(PageSource):
 class MaterializedPageSource(PageSource):
     """Shard-interface view over pages already held in memory.
 
-    Saves nothing; exists so the sharded path can run on exactly the
-    pages a monolithic run used and be compared bit-for-bit.
+    Saves nothing; lets a page list run through the shard interface
+    (one shard for ``PAEPipeline.run``, any shard size for the
+    bit-identity checks).
     """
 
     def __init__(
@@ -257,7 +259,8 @@ class JsonlPageSource(PageSource):
     and decodes ``shard_size`` rows. Row schema and defaults match
     :func:`repro.corpus.io.load_pages` (``product_id`` + ``html``
     required; ``category``/``locale`` defaulted), so a clean file
-    streams to exactly the pages the monolithic loader returns.
+    streams to exactly the pages :func:`~repro.corpus.io.load_pages`
+    returns.
 
     Args:
         path: a ``pages.jsonl`` file, or a directory containing one.

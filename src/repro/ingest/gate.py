@@ -26,9 +26,8 @@ Checks, in evaluation order:
 ``unclosed_tags``     open elements at end of input over
                       ``max_unclosed_tags`` (fixable)
 ``parse_seconds``     parse exceeded ``parse_budget_seconds``
-                      (unfixable; SIGALRM on the main thread, a
-                      post-hoc wall-clock check — counted under
-                      ``parse_budget_soft`` — on worker threads)
+                      (unfixable; a post-hoc wall-clock check,
+                      counted under ``parse_budget_soft``)
 ``open_depth``        DOM nesting over ``max_dom_depth`` (unfixable)
 ``table_rows``        a table over ``max_table_rows`` rows (unfixable)
 
@@ -40,8 +39,6 @@ under ``strict``.
 from __future__ import annotations
 
 import re
-import signal
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -97,14 +94,9 @@ class IngestResult:
         repaired: ``{check: page count}`` of normalizations applied
             (empty under ``strict``/``drop``).
         pages_in: size of the input collection.
-        warnings: counted degradations that rejected pages without the
-            full check running (currently ``parse_budget_soft``: the
-            wall-clock fallback tripping where SIGALRM is unavailable).
-        roots: parsed DOM roots aligned with ``pages`` when the caller
-            asked :meth:`IngestGate.process` to ``keep_roots`` — the
-            gate parses every admitted page anyway, so downstream
-            tokenization and candidate discovery can reuse the tree
-            instead of re-parsing; ``None`` otherwise.
+        warnings: counted degradations (currently
+            ``parse_budget_soft``: parses that overran the wall-clock
+            parse budget).
     """
 
     pages: list[ProductPage]
@@ -112,25 +104,30 @@ class IngestResult:
     repaired: dict[str, int] = field(default_factory=dict)
     pages_in: int = 0
     warnings: dict[str, int] = field(default_factory=dict)
-    roots: list[Element] | None = None
 
     @property
     def repaired_total(self) -> int:
         return sum(self.repaired.values())
 
 
-def _soft_budget(
-    seconds: float, warnings: dict[str, int] | None
+@contextmanager
+def _parse_budget(
+    seconds: float, warnings: dict[str, int] | None = None
 ) -> Iterator[None]:
-    """Post-hoc wall-clock budget for threads SIGALRM cannot reach.
+    """Post-hoc wall-clock budget for one parse.
 
-    A worker thread cannot interrupt a runaway parse, but it can still
-    refuse its output: the parse is timed, and an overrun raises the
-    same :class:`HtmlLimitError` the hard budget would — after the
-    fact — so the page is quarantined instead of admitted. Each soft
-    trip is counted under ``parse_budget_soft`` (the serve daemon
+    The parse is timed, and an overrun raises the same
+    :class:`HtmlLimitError` a preemptive budget would — after the fact
+    — so the page is quarantined instead of admitted. The budget never
+    interrupts a parse mid-flight: it runs the same way on the main
+    thread, on serve worker threads and in shard worker processes, and
+    the gate's byte and depth limits are what bound a runaway parse.
+    Each trip is counted under ``parse_budget_soft`` (the serve daemon
     surfaces the counter through its health endpoint).
     """
+    if seconds <= 0:
+        yield
+        return
     started = time.monotonic()
     yield
     elapsed = time.monotonic() - started
@@ -140,65 +137,6 @@ def _soft_budget(
                 warnings.get("parse_budget_soft", 0) + 1
             )
         raise HtmlLimitError("parse_seconds", elapsed, seconds)
-
-
-@contextmanager
-def _parse_budget(
-    seconds: float,
-    warnings: dict[str, int] | None = None,
-    force_soft: bool = False,
-) -> Iterator[None]:
-    """Bound a parse with SIGALRM, preserving any outer timer.
-
-    The pipeline's test watchdog and this budget share the one ITIMER_REAL
-    slot, so the previous handler *and* remaining time are restored on
-    exit. Off the main thread — where ``signal.signal`` raises
-    ``ValueError`` — the budget degrades to the post-hoc wall-clock
-    check of :func:`_soft_budget` instead of crashing the request:
-    server worker threads still reject budget-blowing pages, they just
-    cannot interrupt the parse mid-flight. ``force_soft`` selects the
-    same degradation unconditionally: shard worker *processes* own
-    their main thread, but hijacking SIGALRM inside a pool child races
-    the pool's own lifecycle signals, so the sharded bootstrap gates
-    with the counted wall-clock budget instead of running unbudgeted.
-    """
-    if seconds <= 0 or not hasattr(signal, "SIGALRM"):
-        yield
-        return
-    if force_soft or (
-        threading.current_thread() is not threading.main_thread()
-    ):
-        yield from _soft_budget(seconds, warnings)
-        return
-
-    def _expired(signum, frame):
-        raise HtmlLimitError("parse_seconds", seconds, seconds)
-
-    previous_handler = signal.getsignal(signal.SIGALRM)
-    outer_remaining = signal.getitimer(signal.ITIMER_REAL)[0]
-    started = time.monotonic()
-    budget = (
-        min(seconds, outer_remaining) if outer_remaining > 0 else seconds
-    )
-    try:
-        signal.signal(signal.SIGALRM, _expired)
-    except ValueError:
-        # Raced the main-thread check (e.g. a non-main interpreter):
-        # degrade to the soft budget rather than crash the request.
-        yield from _soft_budget(seconds, warnings)
-        return
-    signal.setitimer(signal.ITIMER_REAL, budget)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous_handler)
-        if outer_remaining > 0:
-            elapsed = time.monotonic() - started
-            signal.setitimer(
-                signal.ITIMER_REAL,
-                max(0.001, outer_remaining - elapsed),
-            )
 
 
 def _mojibake_offset(html: str) -> int | None:
@@ -283,32 +221,16 @@ class IngestGate:
     Args:
         config: gate configuration; defaults reproduce the shipped
             ``repair`` policy with generous resource bounds.
-        force_soft_budget: always use the counted wall-clock parse
-            budget instead of SIGALRM — set by shard worker processes,
-            where installing signal handlers would race the process
-            pool's lifecycle management.
     """
 
-    def __init__(
-        self,
-        config: IngestConfig | None = None,
-        force_soft_budget: bool = False,
-    ):
+    def __init__(self, config: IngestConfig | None = None):
         self.config = config or IngestConfig()
-        self.force_soft_budget = force_soft_budget
 
-    def process(
-        self,
-        pages: Sequence[ProductPage],
-        keep_roots: bool = False,
-    ) -> IngestResult:
+    def process(self, pages: Sequence[ProductPage]) -> IngestResult:
         """Gate every page; never raises except under ``strict``.
 
         Args:
             pages: the collection to gate.
-            keep_roots: also return the DOM root the gate parsed for
-                each admitted page (aligned with ``result.pages``), so
-                callers can skip their own ``parse_html`` pass.
 
         Returns:
             An :class:`IngestResult` whose ``pages`` preserve input
@@ -316,13 +238,12 @@ class IngestGate:
             records every rejection with diagnostics.
         """
         kept: list[ProductPage] = []
-        roots: list[Element] | None = [] if keep_roots else None
         quarantine = Quarantine()
         repaired: dict[str, int] = {}
         warnings: dict[str, int] = {}
         seen_ids: set[str] = set()
-        for index, page in enumerate(pages):
-            entry, result_page, page_repairs, root = self._gate_page(
+        for page in pages:
+            entry, result_page, page_repairs, _ = self._gate_page(
                 page, seen_ids, warnings
             )
             if entry is not None:
@@ -335,9 +256,6 @@ class IngestGate:
             assert result_page is not None
             seen_ids.add(result_page.product_id)
             kept.append(result_page)
-            if roots is not None:
-                assert root is not None
-                roots.append(root)
             for check in page_repairs:
                 repaired[check] = repaired.get(check, 0) + 1
         return IngestResult(
@@ -346,28 +264,9 @@ class IngestGate:
             repaired=repaired,
             pages_in=len(pages),
             warnings=warnings,
-            roots=roots,
         )
 
     # -- per-page machinery --------------------------------------------
-
-    def gate_page(
-        self,
-        page: ProductPage,
-        seen_ids: set[str],
-        warnings: dict[str, int] | None = None,
-    ) -> tuple[QuarantineEntry | None, ProductPage | None, list[str]]:
-        """Gate one page against an externally-owned seen-id set.
-
-        The per-page unit of :meth:`process`, exposed for callers that
-        stream pages instead of holding a collection (shard workers in
-        :mod:`repro.core.sharded`). Never raises — policy escalation
-        (``strict``) is the caller's job, since only the caller knows
-        the global page order. The caller must add kept pages'
-        product ids to ``seen_ids`` itself.
-        """
-        entry, kept, repairs, _ = self._gate_page(page, seen_ids, warnings)
-        return entry, kept, repairs
 
     def gate_page_prepared(
         self,
@@ -380,14 +279,20 @@ class IngestGate:
         list[str],
         Element | None,
     ]:
-        """Like :meth:`gate_page`, but also return the parsed DOM root.
+        """Gate one page against an externally-owned seen-id set.
 
-        The gate must parse every admitted page to run its structural
-        guards; callers that tokenize or mine the same page immediately
-        afterwards (shard prep) reuse that tree instead of paying a
-        second ``parse_html`` pass. The root is parsed from exactly the
-        html of the returned page, so it is interchangeable with a
-        fresh parse of ``kept_page.html``.
+        The per-page unit of :meth:`process`, exposed for callers that
+        stream pages instead of holding a collection (shard prep in
+        :mod:`repro.core.sharded`). Never raises — policy escalation
+        (``strict``) is the caller's job, since only the caller knows
+        the global page order. The caller must add kept pages'
+        product ids to ``seen_ids`` itself.
+
+        Returns ``(quarantine_entry, kept_page, repairs, root)``. The
+        gate must parse every admitted page to run its structural
+        guards; ``root`` is that tree, parsed from exactly the html of
+        the returned page, so callers that tokenize or mine the page
+        next reuse it instead of paying a second ``parse_html`` pass.
         """
         return self._gate_page(page, seen_ids, warnings)
 
@@ -491,11 +396,7 @@ class IngestGate:
 
         # Unfixable parse-level guards, on the (possibly repaired) html.
         try:
-            with _parse_budget(
-                config.parse_budget_seconds,
-                warnings,
-                force_soft=self.force_soft_budget,
-            ):
+            with _parse_budget(config.parse_budget_seconds, warnings):
                 root = parse_token_stream(
                     tokens if tokens is not None else tokenize_html(html),
                     max_depth=config.max_dom_depth,

@@ -34,10 +34,10 @@ Two auxiliary modes:
   point: run a single scale's single phase in this process and write
   its JSON record to ``--out``.
 * ``--smoke`` — the pre-merge gate (wired into ``make verify``): run
-  the 120-product bench corpus monolithically and through the sharded
-  path — prep cache cold, prep cache warm, and prep cache disabled —
-  and exit non-zero unless every streamed run produced bit-identical
-  triples and per-iteration records.
+  the 120-product bench corpus as one shard (``PAEPipeline.run``) and
+  under multi-shard layouts — prep cache cold, prep cache warm, and
+  prep cache disabled — and exit non-zero unless every multi-shard
+  run produced bit-identical triples and per-iteration records.
 
 Usage::
 
@@ -351,13 +351,17 @@ def run_scales(
 
 
 def run_smoke(products: int = 120, iterations: int = 2) -> int:
-    """Assert sharded == monolithic on the bench corpus; 0 on success.
+    """Assert multi-shard runs == the one-shard run; 0 on success.
 
-    Streamed runs cover three prep-cache regimes — cold (seeding the
-    cache), warm (replaying it; must record hits for every shard) and
-    disabled (``enable_prep_cache=False``) — so the bit-identity gate
-    holds with the cache on and off.
+    The reference is :meth:`~repro.core.pipeline.PAEPipeline.run`,
+    which runs the pages as one shard. Multi-shard runs cover three
+    prep-cache regimes — cold (seeding the cache), warm (replaying it;
+    must record hits for every shard) and disabled
+    (``enable_prep_cache=False``) — so the bit-identity gate holds for
+    any shard layout with the cache on and off.
     """
+    from dataclasses import replace
+
     from ..config import PipelineConfig
     from ..core.pipeline import PAEPipeline
     from ..corpus import Marketplace
@@ -365,91 +369,67 @@ def run_smoke(products: int = 120, iterations: int = 2) -> int:
 
     category, seed = "vacuum_cleaner", 7
     dataset = Marketplace(seed=seed).generate(category, products)
-    monolithic = PAEPipeline(
-        PipelineConfig(iterations=iterations, seed=seed)
-    ).run(dataset.product_pages, dataset.query_log)
+    config = PipelineConfig(iterations=iterations, seed=seed)
+    reference = PAEPipeline(config).run(
+        dataset.product_pages, dataset.query_log
+    )
 
     def check(streamed, label: str) -> bool:
-        if streamed.triples != monolithic.triples:
+        if streamed.triples != reference.triples:
             print(f"SMOKE FAIL ({label}): final triples differ")
             return False
-        if streamed.seed_triples != monolithic.seed_triples:
+        if streamed.seed_triples != reference.seed_triples:
             print(f"SMOKE FAIL ({label}): seed triples differ")
             return False
-        for mono_it, stream_it in zip(
-            monolithic.bootstrap.iterations,
-            streamed.bootstrap.iterations,
-        ):
-            if (
-                mono_it.new_triples != stream_it.new_triples
-                or mono_it.candidate_extractions
-                != stream_it.candidate_extractions
-                or mono_it.veto_stats != stream_it.veto_stats
-                or mono_it.semantic_stats != stream_it.semantic_stats
-                or mono_it.dataset_sentences
-                != stream_it.dataset_sentences
-            ):
-                print(
-                    f"SMOKE FAIL ({label}): iteration "
-                    f"{mono_it.iteration} records differ"
-                )
-                return False
+        if streamed.bootstrap.iterations != reference.bootstrap.iterations:
+            print(f"SMOKE FAIL ({label}): iteration records differ")
+            return False
         print(
             f"smoke ok ({label}): {len(streamed.triples)} triples "
-            f"bit-identical to monolithic"
+            f"bit-identical to the one-shard run"
         )
         return True
 
+    def source(shard_size: int) -> MaterializedPageSource:
+        return MaterializedPageSource(
+            dataset.product_pages, shard_size=shard_size, category=category
+        )
+
     checks = 0
     # Cached path: a cold run seeding the prep cache, then a warm run
-    # replaying it — both must be bit-identical to monolithic, and the
-    # warm one must actually have hit the cache for every shard.
+    # replaying it — both must match the one-shard run, and the warm
+    # one must actually have hit the cache for every shard.
     shard_size, workers = 60, 1
-    cached = PAEPipeline(PipelineConfig(iterations=iterations, seed=seed))
-    source = MaterializedPageSource(
-        dataset.product_pages, shard_size=shard_size, category=category
-    )
+    cached = PAEPipeline(replace(config, pool_workers=workers))
     with tempfile.TemporaryDirectory(prefix="smoke-prep-") as cache_dir:
         for phase in ("cache-cold", "cache-warm"):
             streamed = cached.run_streamed(
-                source,
-                dataset.query_log,
-                shard_workers=workers,
-                cache_dir=cache_dir,
+                source(shard_size), dataset.query_log, cache_dir=cache_dir
             )
             label = f"shard_size={shard_size} workers={workers} {phase}"
             if not check(streamed, label):
                 return 1
             checks += 1
         hits = streamed.perf_counters()["prep_cache"]["hits"]
-        if hits != source.shard_count:
+        if hits != source(shard_size).shard_count:
             print(
                 f"SMOKE FAIL (cache-warm): expected "
-                f"{source.shard_count} prep-cache hits, got {hits}"
+                f"{source(shard_size).shard_count} prep-cache hits, "
+                f"got {hits}"
             )
             return 1
     # Uncached path: the cache disabled outright.
     shard_size, workers = 25, 2
     uncached = PAEPipeline(
-        PipelineConfig(
-            iterations=iterations, seed=seed, enable_prep_cache=False
-        )
+        replace(config, enable_prep_cache=False, pool_workers=workers)
     )
-    streamed = uncached.run_streamed(
-        MaterializedPageSource(
-            dataset.product_pages,
-            shard_size=shard_size,
-            category=category,
-        ),
-        dataset.query_log,
-        shard_workers=workers,
-    )
+    streamed = uncached.run_streamed(source(shard_size), dataset.query_log)
     if not check(
         streamed, f"shard_size={shard_size} workers={workers} no-cache"
     ):
         return 1
     checks += 1
-    print(f"SMOKE OK: {checks} streamed runs bit-identical")
+    print(f"SMOKE OK: {checks} multi-shard runs bit-identical")
     return 0
 
 
@@ -495,7 +475,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="run the sharded-vs-monolithic bit-identity gate and exit",
+        help="run the multi-shard-vs-one-shard bit-identity gate and "
+        "exit",
     )
     args = parser.parse_args(argv)
     if args.smoke:

@@ -9,7 +9,7 @@ integer ids so the design matrix can be assembled by array lookups
 instead of per-call string hashing (see
 :meth:`~repro.ml.features.FeatureIndexer.design_matrix_interned`).
 
-One cache serves one :meth:`Bootstrapper.run`: the interner only ever
+One cache serves one bootstrap run: the interner only ever
 grows, so ids handed out in iteration 1 stay valid in iteration 5.
 Caching is invisible in the output — a hit returns exactly the rows a
 miss would recompute.

@@ -22,7 +22,7 @@ format version. Two tiers:
   ``<root>/<key>/``: the shard's gzip-JSONL cache file (used directly
   as the run's shard-cache directory) plus a ``.meta.json`` sidecar
   carrying the replay outcomes, warnings and the SHA-256 of the gzip
-  bytes. Serves streamed runs with a checkpoint (root
+  bytes. Serves runs with a checkpoint (root
   ``<checkpoint>/prep_cache``, deliberately *not* wiped by
   ``CheckpointStore.begin``) or an explicit ``cache_dir``; a resumed —
   or simply repeated — run reloads instead of re-prepping. A checksum
@@ -102,7 +102,7 @@ class ShardPrep:
     """One shard's cached prep output.
 
     Attributes:
-        outcomes: the per-page outcome tuples ``_prep_shard`` returned
+        outcomes: the per-page outcome tuples ``prep_shard`` returned
             (``("row", …)`` / ``("q", …)`` / ``("k", …)``), in shard
             page order — everything the parent's deterministic replay
             needs.

@@ -43,7 +43,6 @@ _LAZY = {
     "summarize_outcomes": "runner",
     "CheckpointStore": "checkpoint",
     "ResumeState": "checkpoint",
-    "run_fingerprint": "checkpoint",
     "seed_digest": "checkpoint",
     "FaultPlan": "faults",
     "FaultSpec": "faults",
@@ -77,7 +76,6 @@ __all__ = [
     "summarize_outcomes",
     "CheckpointStore",
     "ResumeState",
-    "run_fingerprint",
     "seed_digest",
     "FaultPlan",
     "FaultSpec",

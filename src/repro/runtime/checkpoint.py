@@ -15,6 +15,9 @@ Layout of a checkpoint directory::
     iteration_0001.json.gz  # IterationResult + folded dataset, checksummed
     iteration_0002.json.gz
     ...
+    shard_tag_IIII_SSSS.json.gz  # one tagged shard of an unfinished
+                                 # iteration (removed once it completes)
+    prep_cache/             # shard-prep artifacts (repro.perf.prep_cache)
 
 Snapshots are gzip-compressed (the folded dataset is highly repetitive
 JSON — compression is ~10×); plain ``.json`` snapshots written by older
@@ -29,15 +32,15 @@ Guarantees:
   payload; truncated or hand-edited files raise
   :class:`~repro.errors.CheckpointError` instead of silently resuming
   from garbage.
-* **Identity** — ``meta.json`` records a fingerprint of the pages,
-  configuration and attribute subset, plus a digest of the recomputed
-  seed state; resuming against different inputs raises
+* **Identity** — ``meta.json`` records a fingerprint of the page
+  source, configuration and attribute subset, plus a digest of the
+  recomputed seed state; resuming against different inputs raises
   :class:`CheckpointError` rather than splicing two unrelated runs.
 
 The seed phase itself is *not* snapshotted: it is deterministic and
 cheap relative to tagger training, so resume recomputes it and verifies
 the digest matches — which also catches a changed query log that the
-page fingerprint alone cannot see.
+source fingerprint alone cannot see.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..config import PipelineConfig
 from ..errors import CheckpointError
-from ..types import ProductPage, Sentence, TaggedSentence, Token, Triple
+from ..types import Sentence, TaggedSentence, Token, Triple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.bootstrap import IterationResult
@@ -70,46 +73,21 @@ _SHARD_TAG_PATTERN = re.compile(
 # -- fingerprints -------------------------------------------------------
 
 
-def run_fingerprint(
-    pages: Sequence[ProductPage],
-    config: PipelineConfig,
-    attribute_subset: Sequence[str] | None = None,
-) -> str:
-    """A stable digest of everything that determines a run's output.
-
-    Covers the full configuration (including iteration count and every
-    nested sub-config), the attribute subset, and each page's identity
-    and HTML. Two calls with equal inputs always agree; any drift in
-    pages or config changes the digest.
-    """
-    digest = hashlib.sha256()
-    digest.update(
-        json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    )
-    subset = (
-        sorted(attribute_subset) if attribute_subset is not None else None
-    )
-    digest.update(json.dumps(subset).encode("utf-8"))
-    for page in pages:
-        for part in (page.product_id, page.category, page.locale, page.html):
-            digest.update(part.encode("utf-8"))
-            digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 def source_run_fingerprint(
     source_fingerprint: str,
     config: PipelineConfig,
     attribute_subset: Sequence[str] | None = None,
 ) -> str:
-    """Run fingerprint for a streamed (:class:`~repro.corpus.stream.
-    PageSource`-fed) run.
+    """A stable digest of everything that determines a run's output.
 
-    The streamed corpus is never fully resident, so instead of hashing
-    every page (what :func:`run_fingerprint` does) this folds in the
-    source's own stable fingerprint — which covers the generator seed
-    and shape, or the backing file's identity — alongside the full
-    configuration and attribute subset.
+    The corpus is never fully resident, so instead of hashing every
+    page this folds in the :class:`~repro.corpus.stream.PageSource`'s
+    own stable fingerprint — which covers the pages and shard size of
+    a materialized source, the generator seed and shape, or the backing
+    file's identity — alongside the full configuration (including
+    iteration count and every nested sub-config) and the attribute
+    subset. Two calls with equal inputs always agree; any drift in
+    source or config changes the digest.
     """
     digest = hashlib.sha256()
     digest.update(
@@ -341,7 +319,7 @@ class CheckpointStore:
         Any snapshot from a previous run in this directory is deleted —
         a fresh run must never splice in old iterations — and a new
         ``meta.json`` records the run identity. Only snapshot files are
-        wiped: the ``prep_cache/`` subdirectory (streamed shard-prep
+        wiped: the ``prep_cache/`` subdirectory (shard-prep
         artifacts, :mod:`repro.perf.prep_cache`) is deliberately
         retained, so a restarted run skips ``shard_prep`` — its
         artifacts are keyed by source fingerprint and config digest and

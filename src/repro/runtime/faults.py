@@ -5,10 +5,13 @@ merchant HTML. Rather than hoping the recovery paths work, this module
 makes failure reproducible: a :class:`FaultPlan` is a seedable schedule
 of faults — exceptions, delays, corrupted pages — attached to *named
 pipeline stages* (the same names :class:`~repro.runtime.trace.
-PipelineTrace` records: ``"tokenize"``, ``"seed_build"``,
-``"tagger_train"``, ``"semantic_clean"``, …). The bootstrap loop calls
-:meth:`FaultPlan.fire` at the top of every stage body, so a plan can
-kill any stage of any iteration on demand::
+PipelineTrace` records: ``"shard_prep"``, ``"seed_build"``,
+``"training_material"``, ``"tagger_train"``, ``"tagger_tag"``,
+``"veto"``, ``"semantic_clean"``, ``"fold_dataset"``,
+``"checkpoint_write"``; plus the per-shard ``"shard_tag"`` and
+``"shard_tag:NNNN"`` hooks inside tag workers). The bootstrap loop
+calls :meth:`FaultPlan.fire` at the top of every stage body, so a plan
+can kill any stage of any iteration on demand::
 
     plan = FaultPlan(
         [FaultSpec(stage="tagger_tag", iteration=2, times=1)], seed=3
@@ -30,9 +33,11 @@ Fault kinds:
   stages, structured :class:`JobFailure` for mandatory ones).
 * ``"delay"`` — sleep ``delay_seconds`` inside the stage; combined with
   job deadlines this turns a hung worker into a ``Timeout`` failure.
-* ``"corrupt_pages"`` — mangle a deterministic fraction of page HTML
-  before tokenization (truncated markup plus tag soup), exercising the
-  hostile-input tolerance of the HTML substrate.
+* ``"corrupt_pages"`` — mangle a deterministic fraction of each prep
+  shard's page HTML before gating and tokenization (truncated markup
+  plus tag soup), exercising the hostile-input tolerance of the HTML
+  substrate. Page faults are drawn per ``(seed, shard)`` — see
+  :meth:`FaultPlan.corrupt_shard_pages`.
 * ``"dirt"`` — run a deterministic fraction of pages through the
   :mod:`repro.corpus.dirt` corruption generator (truncation, unclosed
   tags, entity garbage, mojibake, duplicate ids, megapages). Unlike
@@ -127,8 +132,8 @@ class FaultSpec:
 
     Attributes:
         stage: pipeline stage name the fault targets (``"corpus"`` for
-            ``corrupt_pages`` and ``dirt``, which fire before
-            tokenization).
+            ``corrupt_pages`` and ``dirt``, which fire inside shard
+            prep before gating).
         kind: ``"error"``, ``"delay"``, ``"corrupt_pages"`` or
             ``"dirt"``.
         iteration: restrict to one bootstrap cycle (None matches every
@@ -217,8 +222,8 @@ class FaultPlan:
         #: ``{(stage, kind): count}`` of faults actually injected.
         self.injected: dict[tuple[str, str], int] = {}
         #: One :class:`~repro.corpus.dirt.DirtReport` per fired
-        #: ``"dirt"`` spec, in firing order — the test oracle for
-        #: quarantine assertions.
+        #: ``"dirt"`` spec and prep shard, in shard order — the test
+        #: oracle for quarantine assertions.
         self.dirt_reports: list = []
 
     def _matches(
@@ -409,75 +414,11 @@ class FaultPlan:
             return payload
         return payload[: (2 * len(payload)) // 3] + _PAYLOAD_GARBAGE
 
-    def corrupt_pages(
-        self, pages: Sequence[ProductPage]
-    ) -> list[ProductPage]:
-        """Mangle a deterministic subset of pages per corrupt specs.
-
-        Fires for every ``"corrupt_pages"`` or ``"dirt"`` spec whose
-        stage is ``"corpus"`` (the pre-tokenization hook).
-        ``corrupt_pages`` truncates the HTML and appends unbalanced tag
-        soup; ``dirt`` delegates to the calibrated
-        :func:`repro.corpus.dirt.dirty_pages` generator (which may grow
-        the corpus via duplicate-id injection). Product ids survive so
-        downstream assertions can still attribute output.
-        """
-        pages = list(pages)
-        victims: set[int] = set()
-        with self._lock:
-            return self._corrupt_pages_locked(pages, victims)
-
-    def _corrupt_pages_locked(
-        self, pages: list[ProductPage], victims: set[int]
-    ) -> list[ProductPage]:
-        for index, spec in enumerate(self.specs):
-            if spec.kind == "dirt":
-                if not self._matches(spec, index, "corpus", None):
-                    continue
-                from ..corpus.dirt import DIRT_KINDS, dirty_pages
-
-                self._record(spec, index)
-                pages, report = dirty_pages(
-                    pages,
-                    rate=spec.corrupt_fraction,
-                    seed=self._rng.randrange(2**32),
-                    kinds=spec.dirt_kinds or DIRT_KINDS,
-                )
-                self.dirt_reports.append(report)
-                if report.total:
-                    key = ("corpus", "dirt_pages")
-                    self.injected[key] = (
-                        self.injected.get(key, 0) + report.total
-                    )
-                continue
-            if spec.kind != "corrupt_pages":
-                continue
-            if not self._matches(spec, index, "corpus", None):
-                continue
-            count = round(len(pages) * spec.corrupt_fraction)
-            if count <= 0:
-                continue
-            self._record(spec, index)
-            victims.update(
-                self._rng.sample(range(len(pages)), min(count, len(pages)))
-            )
-        for index in sorted(victims):
-            page = pages[index]
-            pages[index] = ProductPage(
-                product_id=page.product_id,
-                category=page.category,
-                html=page.html[: len(page.html) // 3] + _GARBAGE,
-                locale=page.locale,
-            )
-        if victims:
-            self.injected[("corpus", "pages")] = len(victims)
-        return pages
-
     def has_page_faults(self) -> bool:
         """Whether any spec corrupts corpus pages before tokenization.
 
-        The streamed bootstrap uses this to decide two things: whether
-        shard workers must run the corruption hook, and whether the
+        The bootstrap uses this to decide two things: whether shard
+        prep workers must run the corruption hook, and whether the
         prep cache must be bypassed (corrupted prep must never be
         recorded as clean, nor be masked by a clean cached artifact).
         """
@@ -489,29 +430,38 @@ class FaultPlan:
 
     def corrupt_shard_pages(
         self, pages: Sequence[ProductPage], shard_index: int
-    ) -> tuple[list[ProductPage], dict[tuple[str, str], int], int]:
-        """Shard-local page corruption for streamed prep workers.
+    ) -> tuple[list[ProductPage], dict[tuple[str, str], int], int, list]:
+        """Corrupt one shard's pages per the ``"corpus"`` page specs.
 
-        Workers hold pickled plan *copies*, and one worker may process
-        many shards, so the shared RNG / ``times`` bookkeeping of
-        :meth:`corrupt_pages` cannot coordinate decisions across
-        processes. Instead every decision flows from a derived RNG
-        seeded by ``(plan seed, shard index)``: deterministic for any
-        worker count and chunking, at the cost of a corruption pattern
-        that differs from (but is statistically equivalent to) the
-        monolithic one and is evaluated once per shard — ``times`` is
-        interpreted per shard, not globally.
+        Fires every ``"corrupt_pages"`` or ``"dirt"`` spec whose stage
+        is ``"corpus"``. ``corrupt_pages`` truncates the HTML and
+        appends unbalanced tag soup; ``dirt`` delegates to the
+        calibrated :func:`repro.corpus.dirt.dirty_pages` generator
+        (which may grow the shard via duplicate-id injection). Product
+        ids survive so downstream assertions can still attribute
+        output.
 
-        Returns ``(pages, injected, corrupted)``: the (possibly grown)
-        page list, the per-spec injection counts in
-        :attr:`injected`-key form, and the number of pages whose html
-        changed or were added — the caller (the parent process) folds
-        both back via :meth:`absorb_injected` and the
-        ``pages_corrupted`` trace counter.
+        Prep workers hold pickled plan *copies*, and one worker may
+        process many shards, so a shared RNG and ``times`` bookkeeping
+        could not coordinate decisions across processes. Instead every
+        decision flows from an RNG seeded by ``(plan seed, shard
+        index)``: deterministic for any worker count and chunking, and
+        evaluated once per shard — ``times`` is interpreted per shard,
+        not globally.
+
+        Returns ``(pages, injected, corrupted, dirt_reports)``: the
+        (possibly grown) page list, the per-spec injection counts in
+        :attr:`injected`-key form, the number of pages whose html
+        changed or were added, and one
+        :class:`~repro.corpus.dirt.DirtReport` per fired ``dirt`` spec.
+        The caller (the parent process) folds them back via
+        :meth:`absorb_injected`, the ``pages_corrupted`` trace counter
+        and :attr:`dirt_reports`.
         """
         pages = list(pages)
         originals = list(pages)
         injected: dict[tuple[str, str], int] = {}
+        reports: list = []
         victims: set[int] = set()
         rng = random.Random(repr((self.seed, "shard_prep", shard_index)))
         for spec in self.specs:
@@ -531,6 +481,7 @@ class FaultPlan:
                     seed=rng.randrange(2**32),
                     kinds=spec.dirt_kinds or DIRT_KINDS,
                 )
+                reports.append(report)
                 if report.total:
                     key = ("corpus", "dirt_pages")
                     injected[key] = injected.get(key, 0) + report.total
@@ -562,7 +513,7 @@ class FaultPlan:
             if before.html != after.html
         )
         corrupted += max(len(pages) - len(originals), 0)
-        return pages, injected, corrupted
+        return pages, injected, corrupted, reports
 
     def absorb_injected(
         self, counts: dict[tuple[str, str], int]

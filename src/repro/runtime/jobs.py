@@ -59,11 +59,6 @@ class RunnerJob:
     #: ``times``-bounded fault hit on attempt 1 is absent on attempt 2
     #: — exactly how a transient production fault behaves.
     faults: object | None = None
-    #: Drop the heavy training material from a successful result before
-    #: it crosses the process boundary (see ``PipelineResult.slim``).
-    #: Sweeps that only read triples/metrics/traces should enable this;
-    #: the default keeps the full result for API compatibility.
-    slim_results: bool = False
 
     def __post_init__(self) -> None:
         has_dataset = self.pages is not None
@@ -110,7 +105,6 @@ class RunnerJob:
         name: str | None = None,
         checkpoint_dir: str | None = None,
         resume: bool = True,
-        slim_results: bool = False,
     ) -> "RunnerJob":
         """A job whose dataset the worker generates from a spec."""
         return cls(
@@ -126,7 +120,6 @@ class RunnerJob:
             data_seed=data_seed,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            slim_results=slim_results,
         )
 
     def materialize(self) -> tuple[tuple[ProductPage, ...], object]:
@@ -317,8 +310,6 @@ def execute_job(
                 resume=job.resume or attempts > 1,
                 faults=job.faults,
             )
-            if job.slim_results:
-                result = result.slim()
             return JobOutcome(
                 index=index,
                 job_name=job.name,

@@ -53,7 +53,7 @@ def fault_free(vacuum):
 
 @pytest.mark.parametrize(
     "stage",
-    ["tokenize", "seed_build", "tagger_train", "tagger_tag",
+    ["shard_prep", "seed_build", "tagger_train", "tagger_tag",
      "fold_dataset"],
 )
 def test_single_fault_recovered_bit_identically(vacuum, fault_free, stage):
@@ -191,7 +191,7 @@ def test_sweep_survives_mixed_fault_plans(vacuum):
 def test_delay_fault_with_deadline_becomes_timeout(vacuum):
     """A hung stage + job deadline = structured Timeout, live sweep."""
     hung = FaultPlan(
-        [FaultSpec(stage="tokenize", kind="delay", delay_seconds=8.0,
+        [FaultSpec(stage="shard_prep", kind="delay", delay_seconds=8.0,
                    times=None)]
     )
     jobs = [
@@ -217,7 +217,7 @@ def test_delay_fault_with_deadline_becomes_timeout(vacuum):
 def test_in_worker_deadline_stops_retry_loop(vacuum):
     """The in-worker budget halts retries even when each attempt fails
     fast: no attempt starts past the deadline."""
-    plan = FaultPlan([FaultSpec(stage="tokenize", times=None)])
+    plan = FaultPlan([FaultSpec(stage="shard_prep", times=None)])
     job = RunnerJob(name="vacuum_cleaner", config=CONFIG,
                     pages=vacuum.product_pages,
                     query_log=vacuum.query_log, faults=plan)

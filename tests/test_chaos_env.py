@@ -14,11 +14,13 @@ The hostile-machine contract, end to end through ``run_streamed``:
   advisory lock: the loser falls back to a private scratch cache and
   still produces identical output;
 * memory pressure throttles the fan-out and is counted, without
-  changing the output.
+  changing the output — on ``run`` (one shard) as on ``run_streamed``.
 
 Every scenario is seeded (fault plans are deterministic) and sized for
 a 1-CPU box: 40 pages, 2 iterations, at most 2 workers.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -55,7 +57,7 @@ def vacuum():
 
 @pytest.fixture(scope="module")
 def baseline(vacuum):
-    """Fault-free monolithic reference."""
+    """Fault-free one-shard reference."""
     return PAEPipeline(CONFIG).run(
         vacuum.product_pages, vacuum.query_log
     )
@@ -68,11 +70,10 @@ def _source(vacuum):
 
 
 def _run(vacuum, *, faults=None, workers=1, config=CONFIG, **kwargs):
-    return PAEPipeline(config).run_streamed(
+    return PAEPipeline(replace(config, pool_workers=workers)).run_streamed(
         _source(vacuum),
         vacuum.query_log,
         faults=faults,
-        shard_workers=workers,
         **kwargs,
     )
 
@@ -196,6 +197,32 @@ def test_checkpoint_enospc_degrades_to_checkpoint_less(
     assert list(tmp_path.glob("iteration_*.json.gz")) == []
 
 
+def test_mid_run_snapshot_failure_is_counted(
+    vacuum, baseline, tmp_path, monkeypatch
+):
+    """The checkpoint opens cleanly, then every iteration snapshot
+    fails past its retries: checkpointing is disabled once, the trip
+    is counted, and the run completes unscathed."""
+    from repro.errors import StorageError
+    from repro.runtime.checkpoint import CheckpointStore
+
+    def full_disk(self, result, dataset):
+        raise StorageError(
+            "checkpoint_write", str(self.directory), 28, "injected"
+        )
+
+    monkeypatch.setattr(CheckpointStore, "write_iteration", full_disk)
+    result = PAEPipeline(CONFIG).run(
+        vacuum.product_pages,
+        vacuum.query_log,
+        checkpoint_dir=str(tmp_path),
+    )
+    assert result.triples == baseline.triples
+    assert result.resilience_counters()["checkpoint_disabled"] == 1
+    assert (tmp_path / "meta.json").exists()
+    assert list(tmp_path.glob("iteration_*.json.gz")) == []
+
+
 # -- contended cache directory -------------------------------------------
 
 
@@ -243,6 +270,29 @@ def test_memory_pressure_throttles_and_counts(vacuum, baseline):
     result = _run(vacuum, faults=plan, workers=2)
     assert result.triples == baseline.triples
     pressure = result.resilience_counters()["memory_pressure"]
+    assert pressure["samples"] >= 1
+    assert pressure["events"] >= 1
+
+
+def test_run_honours_memory_pressure(vacuum, baseline):
+    """``run`` is the one-shard streamed run, so it builds the memory
+    governor too: pressure is sampled and counted, output unchanged."""
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                stage="shard_prep",
+                kind="mem_pressure",
+                pressure_bytes=1 << 40,
+                times=None,
+            )
+        ]
+    )
+    result = PAEPipeline(CONFIG).run(
+        vacuum.product_pages, vacuum.query_log, faults=plan
+    )
+    assert result.triples == baseline.triples
+    pressure = result.resilience_counters()["memory_pressure"]
+    assert pressure
     assert pressure["samples"] >= 1
     assert pressure["events"] >= 1
 

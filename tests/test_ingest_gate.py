@@ -1,11 +1,11 @@
 """Unit tests for the ingest gate: checks, policies, repairs, ledger."""
 
-import signal
+import time
 
 import pytest
 
 from repro.config import HealthConfig, IngestConfig
-from repro.errors import ConfigError, PageQuarantinedError
+from repro.errors import ConfigError, HtmlLimitError, PageQuarantinedError
 from repro.ingest import (
     FIXABLE_CHECKS,
     IngestGate,
@@ -204,30 +204,17 @@ def test_health_config_validates():
 # -- parse budget machinery ----------------------------------------------
 
 
-@pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="requires SIGALRM"
-)
-def test_parse_budget_restores_outer_timer():
-    """The gate's budget must not disarm an enclosing watchdog."""
-    fired = []
-
-    def _outer(signum, frame):  # pragma: no cover - must not fire
-        fired.append("outer")
-
-    previous = signal.signal(signal.SIGALRM, _outer)
-    signal.setitimer(signal.ITIMER_REAL, 60.0)
-    try:
-        with _parse_budget(5.0):
-            pass
-        assert signal.getsignal(signal.SIGALRM) is _outer
-        remaining = signal.getitimer(signal.ITIMER_REAL)[0]
-        assert 0.0 < remaining <= 60.0
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    assert not fired
-
-
 def test_parse_budget_zero_is_noop():
     with _parse_budget(0.0):
         pass
+
+
+def test_parse_budget_overrun_is_counted_on_main_thread():
+    """One budget everywhere: the post-hoc check rejects and counts an
+    overrun on the main thread exactly as on worker threads."""
+    warnings: dict[str, int] = {}
+    with pytest.raises(HtmlLimitError) as error:
+        with _parse_budget(0.01, warnings):
+            time.sleep(0.05)
+    assert error.value.limit == "parse_seconds"
+    assert warnings == {"parse_budget_soft": 1}

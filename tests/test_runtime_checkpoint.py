@@ -88,11 +88,13 @@ def test_snapshots_written_per_iteration(tennis, tmp_path):
         for path in tmp_path.iterdir()
         if not path.name.startswith(".")
     )
+    # prep_cache/ holds the shard-prep artifacts a resumed run replays.
     assert names == [
         "iteration_0001.json.gz",
         "iteration_0002.json.gz",
         "iteration_0003.json.gz",
         "meta.json",
+        "prep_cache",
     ]
     assert len(result.bootstrap.iterations) == 3
 

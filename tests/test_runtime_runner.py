@@ -254,12 +254,17 @@ def test_deadline_runs_keep_requested_pool(monkeypatch):
     assert [outcome.ok for outcome in outcomes] == [True, True]
 
 
-def test_slim_results_drop_training_material():
+def test_job_results_carry_no_training_material():
+    """A result crosses the process boundary as-is: it holds triples,
+    per-iteration records and the trace, never the tokenized corpus or
+    the labelled training set, so it pickles smaller than its pages."""
+    import pickle
+
     job = RunnerJob.generate(
-        "tennis", 30, PipelineConfig(iterations=1),
-        data_seed=7, slim_results=True,
+        "tennis", 30, PipelineConfig(iterations=1), data_seed=7
     )
     outcome = execute_job(0, job, retries=0)
     assert outcome.ok
-    assert outcome.result.bootstrap.material is None
     assert len(outcome.result.triples) > 0
+    pages, _ = job.materialize()
+    assert len(pickle.dumps(outcome.result)) < len(pickle.dumps(pages))

@@ -90,8 +90,7 @@ def test_pipeline_populates_trace(small_vacuum_dataset):
     stages = set(trace.stage_totals())
     # Seed-phase stages plus every per-iteration stage.
     assert {
-        "tokenize",
-        "candidate_discovery",
+        "shard_prep",
         "seed_build",
         "training_material",
         "tagger_train",

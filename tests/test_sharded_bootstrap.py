@@ -1,17 +1,24 @@
-"""Sharded bootstrap: bit-identity to the monolithic path + resume.
+"""Shard-layout invariance of the one bootstrap engine + resume.
 
-The acceptance contract of :mod:`repro.core.sharded`: for any shard
-size and worker count, ``run_streamed`` produces **bit-identical**
-output to ``run`` on the materialized page list — triples, seed,
-per-iteration records, quarantine ledger — and a run killed mid-
+The acceptance contract of :mod:`repro.core.sharded`: ``run`` (the
+pages as one shard) and ``run_streamed`` under any shard size, pool
+size and prep-cache state produce **bit-identical** output — triples,
+seed, per-iteration records, quarantine ledger — and a run killed mid-
 iteration resumes from its per-shard tag snapshots without re-tagging
 completed shards.
 """
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import repro
 from repro import IngestConfig, PAEPipeline, PipelineConfig
 from repro.corpus import (
     GeneratedPageSource,
@@ -20,120 +27,165 @@ from repro.corpus import (
 )
 from repro.errors import FaultInjectionError, PageQuarantinedError
 from repro.runtime import FaultPlan, FaultSpec, PipelineTrace
-from repro.types import ProductPage
 
 pytestmark = pytest.mark.usefixtures("watchdog")
 
 CONFIG = PipelineConfig(iterations=2)
+PAGES = 40
+
+#: sha256 of the sorted ``[product, attribute, value]`` rows (JSON) of
+#: ``PAEPipeline(CONFIG).run`` over ``vacuum_cleaner`` x 40 (seed 7),
+#: captured under ``PYTHONHASHSEED=0`` before the engines were merged.
+#: Pipeline output depends on the hash seed, so the matrix below runs
+#: in a child process with the seed pinned.
+GOLDEN_DIGEST = (
+    "c491f404079b6661858c2ef70d99c52e1576a5e3b5575536596ac8647c33f935"
+)
+
+#: Child-process body: one shard layout under three prep-cache states.
+_MATRIX_CHILD = """
+import hashlib, json, sys, tempfile
+from dataclasses import replace
+from repro import PAEPipeline, PipelineConfig
+from repro.corpus import Marketplace, MaterializedPageSource
+
+shard_size, workers, pages = (int(arg) for arg in sys.argv[1:4])
+vacuum = Marketplace(seed=7).generate("vacuum_cleaner", pages)
+source = MaterializedPageSource(vacuum.product_pages, shard_size=shard_size)
+config = PipelineConfig(iterations=2, pool_workers=workers)
+out = {"shards": source.shard_count}
+
+def record(result):
+    rows = sorted([t.product_id, t.attribute, t.value] for t in result.triples)
+    return {
+        "digest": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+        "prep_cache": result.perf_counters()["prep_cache"],
+    }
+
+with tempfile.TemporaryDirectory() as cache_dir:
+    for state in ("cold", "warm"):
+        out[state] = record(PAEPipeline(config).run_streamed(
+            source, vacuum.query_log, cache_dir=cache_dir
+        ))
+out["off"] = record(PAEPipeline(
+    replace(config, enable_prep_cache=False)
+).run_streamed(source, vacuum.query_log))
+print(json.dumps(out))
+"""
 
 
 @pytest.fixture(scope="module")
 def vacuum():
-    return Marketplace(seed=7).generate("vacuum_cleaner", 40)
+    return Marketplace(seed=7).generate("vacuum_cleaner", PAGES)
 
 
 @pytest.fixture(scope="module")
-def monolithic(vacuum):
+def one_shard(vacuum):
     return PAEPipeline(CONFIG).run(
         vacuum.product_pages, vacuum.query_log
     )
 
 
-def _assert_identical(streamed, monolithic):
-    assert streamed.triples == monolithic.triples
-    assert streamed.seed_triples == monolithic.seed_triples
-    assert streamed.attributes == monolithic.attributes
-    assert len(streamed.bootstrap.iterations) == len(
-        monolithic.bootstrap.iterations
+def _assert_identical(streamed, reference):
+    assert streamed.triples == reference.triples
+    assert streamed.seed_triples == reference.seed_triples
+    assert streamed.attributes == reference.attributes
+    assert streamed.bootstrap.iterations == reference.bootstrap.iterations
+
+
+# -- bit-identity across shard layouts -----------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shard_size", [PAGES, 7, 1])
+def test_bit_identical_across_shard_and_worker_combos(shard_size, workers):
+    """Every layout x pool size x prep-cache state hits the golden
+    digest of the pre-merge one-shard run."""
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="0",
+        PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]),
     )
-    for mono_it, stream_it in zip(
-        monolithic.bootstrap.iterations, streamed.bootstrap.iterations
-    ):
-        assert stream_it.new_triples == mono_it.new_triples
-        assert stream_it.triples == mono_it.triples
-        assert (
-            stream_it.candidate_extractions
-            == mono_it.candidate_extractions
-        )
-        assert stream_it.veto_stats == mono_it.veto_stats
-        assert stream_it.semantic_stats == mono_it.semantic_stats
-        assert stream_it.dataset_sentences == mono_it.dataset_sentences
-
-
-# -- bit-identity across fan-out shapes ----------------------------------
-
-
-@pytest.mark.parametrize("shard_size,workers", [(7, 1), (15, 2)])
-def test_bit_identical_across_shard_and_worker_combos(
-    vacuum, monolithic, shard_size, workers
-):
-    source = MaterializedPageSource(
-        vacuum.product_pages, shard_size=shard_size
+    completed = subprocess.run(
+        [
+            sys.executable, "-c", _MATRIX_CHILD,
+            str(shard_size), str(workers), str(PAGES),
+        ],
+        env=env, capture_output=True, text=True, timeout=80,
     )
+    assert completed.returncode == 0, completed.stderr
+    out = json.loads(completed.stdout.splitlines()[-1])
+    shards = out["shards"]
+    assert shards == -(-PAGES // shard_size)
+    for state in ("cold", "warm", "off"):
+        assert out[state]["digest"] == GOLDEN_DIGEST, state
+    assert out["cold"]["prep_cache"] == {"hits": 0, "misses": shards}
+    assert out["warm"]["prep_cache"] == {"hits": shards, "misses": 0}
+    assert out["off"]["prep_cache"] == {"hits": 0, "misses": 0}
+
+
+def test_run_is_the_one_shard_streamed_run(vacuum, one_shard):
     streamed = PAEPipeline(CONFIG).run_streamed(
-        source, vacuum.query_log, shard_workers=workers
+        MaterializedPageSource(vacuum.product_pages, shard_size=PAGES),
+        vacuum.query_log,
     )
-    _assert_identical(streamed, monolithic)
-    assert streamed.product_count == monolithic.product_count
+    assert streamed.bootstrap == one_shard.bootstrap
+    assert streamed.product_count == one_shard.product_count == PAGES
+    stages = set(one_shard.trace.stage_totals())
+    assert "shard_prep" in stages
+    assert one_shard.trace.counter_totals("pool_supervision") == {}
 
 
 def test_bit_identical_without_semantic_cleaning(vacuum):
-    from dataclasses import replace
-
     config = replace(CONFIG, enable_semantic_cleaning=False)
-    mono = PAEPipeline(config).run(
+    reference = PAEPipeline(config).run(
         vacuum.product_pages, vacuum.query_log
     )
     source = MaterializedPageSource(vacuum.product_pages, shard_size=9)
     streamed = PAEPipeline(config).run_streamed(
         source, vacuum.query_log
     )
-    _assert_identical(streamed, mono)
+    _assert_identical(streamed, reference)
 
 
 def test_merge_survives_shuffled_completion_order(
-    vacuum, monolithic, monkeypatch
+    vacuum, one_shard, monkeypatch
 ):
-    """Tag results arriving in any order must merge identically.
+    """Shard results arriving in any order must merge identically.
 
-    ``parallel_map`` preserves item order; this test drops that
-    guarantee for the tag fan-out (results come back shuffled, as if
-    fast shards finished first) and asserts the index-addressed merge
-    still reproduces the monolithic output.
+    The pool returns a ``{shard: result}`` map; this test hands the
+    engine every wave's map in shuffled order (as if fast shards
+    finished first) and asserts the index-addressed merge still
+    reproduces the one-shard output.
     """
-    from repro.core.sharded import _tag_shard
-    from repro.runtime import runner
+    from repro.runtime.pool import ShardWorkerPool
 
-    real = runner.parallel_map
+    real = ShardWorkerPool.run
     rng = random.Random(11)
 
-    def shuffled(func, items, workers=None, **kwargs):
-        results = real(func, items, workers=workers, **kwargs)
-        if getattr(func, "func", None) is _tag_shard:
-            results = list(results)
-            rng.shuffle(results)
-        return results
+    def shuffled(self, *args, **kwargs):
+        results, failures, report = real(self, *args, **kwargs)
+        items = list(results.items())
+        rng.shuffle(items)
+        return dict(items), failures, report
 
-    monkeypatch.setattr(runner, "parallel_map", shuffled)
+    monkeypatch.setattr(ShardWorkerPool, "run", shuffled)
+    config = replace(CONFIG, enable_prep_cache=False)
     source = MaterializedPageSource(vacuum.product_pages, shard_size=6)
-    streamed = PAEPipeline(CONFIG).run_streamed(
-        source, vacuum.query_log
-    )
-    _assert_identical(streamed, monolithic)
+    streamed = PAEPipeline(config).run_streamed(source, vacuum.query_log)
+    _assert_identical(streamed, one_shard)
 
 
 def test_max_labeled_sentences_cap_parity(vacuum):
-    from dataclasses import replace
-
     config = replace(CONFIG, max_labeled_sentences=40)
-    mono = PAEPipeline(config).run(
+    reference = PAEPipeline(config).run(
         vacuum.product_pages, vacuum.query_log
     )
     source = MaterializedPageSource(vacuum.product_pages, shard_size=13)
     streamed = PAEPipeline(config).run_streamed(
         source, vacuum.query_log
     )
-    _assert_identical(streamed, mono)
+    _assert_identical(streamed, reference)
 
 
 # -- dirty input: the sequential-gate replay -----------------------------
@@ -147,58 +199,55 @@ def _with_cross_shard_duplicates(pages):
 
 
 def test_cross_shard_duplicates_match_monolithic(vacuum):
-    from dataclasses import replace
-
     config = replace(
-        CONFIG, ingest=IngestConfig(enabled=True, policy="repair")
+        CONFIG,
+        ingest=IngestConfig(enabled=True, policy="repair"),
+        pool_workers=2,
     )
     pages = _with_cross_shard_duplicates(vacuum.product_pages)
-    mono = PAEPipeline(config).run(pages, vacuum.query_log)
+    reference = PAEPipeline(config).run(pages, vacuum.query_log)
     source = MaterializedPageSource(pages, shard_size=10)
     streamed = PAEPipeline(config).run_streamed(
-        source, vacuum.query_log, shard_workers=2
+        source, vacuum.query_log
     )
-    _assert_identical(streamed, mono)
-    assert mono.quarantine is not None
+    _assert_identical(streamed, reference)
+    assert reference.quarantine is not None
     assert streamed.quarantine is not None
     assert (
-        streamed.quarantine.to_payload() == mono.quarantine.to_payload()
+        streamed.quarantine.to_payload()
+        == reference.quarantine.to_payload()
     )
     checks = streamed.quarantine.counts_by_check()
     assert checks.get("duplicate_id") == 2
 
 
 def test_strict_cross_shard_duplicate_raises_like_monolithic(vacuum):
-    from dataclasses import replace
-
     config = replace(
         CONFIG, ingest=IngestConfig(enabled=True, policy="strict")
     )
     pages = _with_cross_shard_duplicates(vacuum.product_pages)
-    with pytest.raises(PageQuarantinedError) as mono_error:
+    with pytest.raises(PageQuarantinedError) as reference_error:
         PAEPipeline(config).run(pages, vacuum.query_log)
     source = MaterializedPageSource(pages, shard_size=10)
     with pytest.raises(PageQuarantinedError) as stream_error:
         PAEPipeline(config).run_streamed(source, vacuum.query_log)
-    assert stream_error.value.page_id == mono_error.value.page_id
+    assert stream_error.value.page_id == reference_error.value.page_id
     assert stream_error.value.check == "duplicate_id"
-    assert stream_error.value.detail == mono_error.value.detail
+    assert stream_error.value.detail == reference_error.value.detail
 
 
 # -- page-fault injection inside shard workers ---------------------------
 
 
 def test_streamed_dirt_faults_populate_quarantine(vacuum):
-    from dataclasses import replace
-
-    config = replace(CONFIG, iterations=1)
+    config = replace(CONFIG, iterations=1, pool_workers=2)
     plan = FaultPlan(
         [FaultSpec(stage="corpus", kind="dirt", corrupt_fraction=0.25)],
         seed=5,
     )
     source = MaterializedPageSource(vacuum.product_pages, shard_size=10)
     result = PAEPipeline(config).run_streamed(
-        source, vacuum.query_log, faults=plan, shard_workers=2
+        source, vacuum.query_log, faults=plan
     )
     # Worker tallies were absorbed into the parent's plan...
     assert plan.injected.get(("corpus", "dirt_pages"), 0) > 0
@@ -214,8 +263,6 @@ def test_streamed_dirt_faults_populate_quarantine(vacuum):
 
 
 def test_streamed_corrupt_pages_faults_absorbed(vacuum):
-    from dataclasses import replace
-
     config = replace(CONFIG, iterations=1)
     plan = FaultPlan(
         [
@@ -239,11 +286,9 @@ def test_streamed_corrupt_pages_faults_absorbed(vacuum):
 
 
 def test_streamed_page_faults_deterministic_across_worker_counts(vacuum):
-    from dataclasses import replace
-
-    config = replace(CONFIG, iterations=1)
     outputs = []
     for workers in (1, 2):
+        config = replace(CONFIG, iterations=1, pool_workers=workers)
         plan = FaultPlan(
             [
                 FaultSpec(
@@ -256,13 +301,19 @@ def test_streamed_page_faults_deterministic_across_worker_counts(vacuum):
             vacuum.product_pages, shard_size=10
         )
         result = PAEPipeline(config).run_streamed(
-            source, vacuum.query_log, faults=plan, shard_workers=workers
+            source, vacuum.query_log, faults=plan
         )
-        outputs.append((result, dict(plan.injected)))
-    (first, first_injected), (second, second_injected) = outputs
+        # One dirt report per prep shard, appended in shard order.
+        assert len(plan.dirt_reports) == source.shard_count
+        reports = [report.applied for report in plan.dirt_reports]
+        outputs.append((result, dict(plan.injected), reports))
+    (first, first_injected, first_reports), (
+        second, second_injected, second_reports
+    ) = outputs
     # Decisions derive from (plan seed, shard index), so the worker
     # count cannot change what was corrupted or what came out.
     assert first_injected == second_injected
+    assert first_reports == second_reports
     assert first.triples == second.triples
     assert (
         first.quarantine.to_payload() == second.quarantine.to_payload()
@@ -310,9 +361,7 @@ def test_generated_source_is_shard_size_invariant():
 
 
 def test_kill_mid_iteration_resumes_without_retagging(vacuum, tmp_path):
-    from dataclasses import replace
-
-    config = replace(CONFIG, stage_retries=0)
+    config = replace(CONFIG, stage_retries=0, pool_workers=1)
     source = MaterializedPageSource(vacuum.product_pages, shard_size=10)
     reference = PAEPipeline(config).run_streamed(
         source, vacuum.query_log
@@ -328,7 +377,6 @@ def test_kill_mid_iteration_resumes_without_retagging(vacuum, tmp_path):
             vacuum.query_log,
             checkpoint_dir=str(tmp_path),
             faults=plan,
-            shard_workers=1,
         )
     snapshots = sorted(
         path.name for path in tmp_path.glob("shard_tag_*.json.gz")
@@ -345,7 +393,6 @@ def test_kill_mid_iteration_resumes_without_retagging(vacuum, tmp_path):
         vacuum.query_log,
         checkpoint_dir=str(tmp_path),
         trace=trace,
-        shard_workers=1,
     )
     _assert_identical(resumed, reference)
     assert resumed.bootstrap.iterations == reference.bootstrap.iterations
@@ -389,17 +436,3 @@ def test_foreign_source_checkpoint_rejected(vacuum, tmp_path):
         PAEPipeline(CONFIG).run_streamed(
             other, vacuum.query_log, checkpoint_dir=str(tmp_path)
         )
-
-
-# -- streamed result shape ----------------------------------------------
-
-
-def test_streamed_result_has_no_material(vacuum, monolithic):
-    source = MaterializedPageSource(vacuum.product_pages, shard_size=10)
-    streamed = PAEPipeline(CONFIG).run_streamed(
-        source, vacuum.query_log
-    )
-    assert streamed.bootstrap.material is None
-    assert monolithic.bootstrap.material is not None
-    # slim() (the sweep-worker pickle shrinker) stays usable.
-    assert streamed.slim().triples == streamed.triples
