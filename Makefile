@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-runner bench-pipeline bench-serve bench-scale verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast bench-runner bench-pipeline bench-serve bench-scale verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -34,6 +34,17 @@ serve-chaos:
 chaos-env:
 	PYTHONPATH=src pytest tests/test_chaos_env.py tests/test_runtime_pool.py \
 		tests/test_runtime_storage.py -q
+
+# Full-size digest gate: the paper loop (paper_warm, 5 iterations at
+# 300 pages) must reproduce the triples digest pinned in
+# bench/reference.json. `bench run` exits non-zero on a mismatch; this
+# also fails when the digest was not checked against the pin.
+bench-digest:
+	@out=$$(python3 -m bench run --workload paper_warm --seconds 1) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep "triples digest"; \
+	echo "$$out" | grep -q "^paper_warm triples digest [0-9a-f]* (checked)$$" \
+		&& ! echo "$$out" | grep -q "(not checked)"
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -70,8 +81,8 @@ bench-scale:
 # Tier-1 suite plus the serve chaos acceptance, the environment-fault
 # acceptance, a one-pass small-corpus bench smoke, the shard-layout
 # bit-identity gate (multi-shard runs with the prep cache cold, warm
-# and disabled against the one-shard `run`) and the benchmark's smoke
-# tests: the quick pre-merge gate.
+# and disabled against the one-shard `run`), the benchmark's smoke
+# tests and the full-size paper_warm digest: the quick pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -80,6 +91,7 @@ verify:
 		--products 40 --iterations 2 --repeats 1
 	PYTHONPATH=src python -m repro.perf.bench_scale --smoke
 	PYTHONPATH=src python -m pytest bench/tests -q
+	$(MAKE) bench-digest
 
 examples:
 	python examples/quickstart.py

@@ -6,6 +6,13 @@ window, maximize ``log σ(u_ctx · v_center)`` plus ``k`` negative terms
 distribution raised to 3/4. Training is mini-batched and fully
 vectorized; determinism comes from a caller-supplied seed.
 
+Each minibatch ends in three scatter-adds into the embedding tables.
+They go through :func:`~repro.perf.scatter.scatter_add_rows`, which
+flattens the 2-D update so numpy's fast 1-D ``ufunc.at`` loop runs,
+yet adds every cell's contributions in the same order as the 2-D
+scatter — so the vectors are bit-identical to the unflattened update,
+which a sorted or sparse reduction would not be.
+
 The semantic-cleaning module treats multiword values as single words by
 pre-joining their tokens with ``_`` before calling :meth:`Word2Vec.train`
 (the paper's step (i), "group multiword attribute values ... as a single
@@ -20,6 +27,7 @@ import numpy as np
 
 from ..errors import EmbeddingError
 from ..nlp.vocab import Vocabulary
+from ..perf.scatter import scatter_add_rows
 
 
 class Word2Vec:
@@ -104,7 +112,7 @@ class Word2Vec:
             rng.random((size, self.dim), dtype=np.float64) - 0.5
         ) / self.dim
         self._output_vectors = np.zeros((size, self.dim), dtype=np.float64)
-        negative_table = self._negative_table(vocab)
+        negative_cdf = self._negative_cdf(vocab)
 
         total_steps = max(1, self.epochs * (len(centers) // self.batch_size + 1))
         step = 0
@@ -116,7 +124,7 @@ class Word2Vec:
                     0.1, 1.0 - step / total_steps
                 )
                 self._sgd_step(
-                    centers[batch], contexts[batch], negative_table, rng, lr
+                    centers[batch], contexts[batch], negative_cdf, rng, lr
                 )
                 step += 1
         return self
@@ -154,53 +162,54 @@ class Word2Vec:
             np.asarray(contexts, dtype=np.int64),
         )
 
-    def _keep_probabilities(self, vocab: Vocabulary) -> np.ndarray:
-        """Per-token keep probability under frequent-word subsampling."""
-        counts = np.array(
+    @staticmethod
+    def _token_counts(vocab: Vocabulary) -> np.ndarray:
+        """Per-id corpus counts, floored at 1 (``<unk>`` included)."""
+        return np.array(
             [
                 max(vocab.count_of(vocab.token_of(i)), 1)
                 for i in range(len(vocab))
             ],
             dtype=np.float64,
         )
+
+    def _keep_probabilities(self, vocab: Vocabulary) -> np.ndarray:
+        """Per-token keep probability under frequent-word subsampling."""
+        counts = self._token_counts(vocab)
         if not self.subsample:
             return np.ones_like(counts)
         frequency = counts / counts.sum()
         keep = np.sqrt(self.subsample / np.maximum(frequency, 1e-12))
         return np.minimum(keep, 1.0)
 
-    @staticmethod
-    def _vocab_counts(vocab: Vocabulary) -> np.ndarray:
-        counts = np.array(
-            [
-                max(vocab.count_of(vocab.token_of(i)), 1)
-                for i in range(len(vocab))
-            ],
-            dtype=np.float64,
-        )
-        counts[0] = 0.0  # never sample <unk>
-        return counts
+    def _negative_cdf(self, vocab: Vocabulary) -> np.ndarray:
+        """The CDF of the unigram^0.75 negative-sampling distribution.
 
-    def _negative_table(self, vocab: Vocabulary) -> np.ndarray:
-        """The unigram^0.75 negative-sampling distribution."""
-        weights = self._vocab_counts(vocab) ** 0.75
-        return weights / weights.sum()
+        Built once per :meth:`train`, exactly as ``Generator.choice``
+        rebuilds (and re-validates) it from ``p`` on every call, so
+        ``cdf.searchsorted(rng.random(shape), side="right")`` draws
+        what ``rng.choice(len(cdf), size=shape, p=p)`` would.
+        """
+        weights = self._token_counts(vocab)
+        weights[0] = 0.0  # never sample <unk>
+        weights **= 0.75
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def _sgd_step(
         self,
         centers: np.ndarray,
         contexts: np.ndarray,
-        negative_probabilities: np.ndarray,
+        negative_cdf: np.ndarray,
         rng: np.random.Generator,
         lr: float,
     ) -> None:
         assert self._input_vectors is not None
         assert self._output_vectors is not None
         batch = centers.shape[0]
-        negatives = rng.choice(
-            negative_probabilities.shape[0],
-            size=(batch, self.negatives),
-            p=negative_probabilities,
+        negatives = negative_cdf.searchsorted(
+            rng.random((batch, self.negatives)), side="right"
         )
         v_center = self._input_vectors[centers]            # (B, D)
         u_context = self._output_vectors[contexts]         # (B, D)
@@ -233,18 +242,18 @@ class Word2Vec:
             negative_flat
         ].reshape(negatives.shape)
 
-        np.add.at(
+        scatter_add_rows(
             self._output_vectors,
             contexts,
             -lr * grad_pos * v_center / context_mult[:, None],
         )
-        np.add.at(
+        scatter_add_rows(
             self._output_vectors,
             negatives,
             -lr * grad_neg * v_center[:, None, :]
             / negative_mult[:, :, None],
         )
-        np.add.at(
+        scatter_add_rows(
             self._input_vectors,
             centers,
             -lr * grad_center / center_mult[:, None],

@@ -25,6 +25,7 @@ from ...errors import NotFittedError, TrainingError
 from ...nlp.bio import OUTSIDE, repair_bio
 from ...nlp.vocab import Vocabulary
 from ...perf.bucketing import length_buckets
+from ...perf.scatter import scatter_add_rows
 from ...types import Sentence, TaggedSentence
 from . import layers
 
@@ -294,20 +295,20 @@ class LstmTagger:
         layers.sgd_update(self._params["char_fwd"], grads_cf, learning_rate)
         layers.sgd_update(self._params["char_bwd"], grads_cb, learning_rate)
 
-        np.add.at(
+        scatter_add_rows(
             self._word_embedding,
             cache["word_ids"],
             -learning_rate * d_word_embed,
         )
-        np.add.at(
+        scatter_add_rows(
             self._char_embedding,
-            cache["fwd_ids"].ravel(),
-            -learning_rate * d_char_in_fwd.reshape(-1, config.char_dim),
+            cache["fwd_ids"],
+            -learning_rate * d_char_in_fwd,
         )
-        np.add.at(
+        scatter_add_rows(
             self._char_embedding,
-            cache["bwd_ids"].ravel(),
-            -learning_rate * d_char_in_bwd.reshape(-1, config.char_dim),
+            cache["bwd_ids"],
+            -learning_rate * d_char_in_bwd,
         )
         return loss
 

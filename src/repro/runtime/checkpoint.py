@@ -19,9 +19,13 @@ Layout of a checkpoint directory::
                                  # iteration (removed once it completes)
     prep_cache/             # shard-prep artifacts (repro.perf.prep_cache)
 
-Snapshots are gzip-compressed (the folded dataset is highly repetitive
-JSON — compression is ~10×); plain ``.json`` snapshots written by older
-versions are still read transparently.
+Snapshots are compact JSON (no indentation, ``(",", ":")``
+separators, which keeps :func:`json.dumps` on its C encoder),
+gzip-compressed at level 1. On a 300-page vacuum_cleaner run an
+iteration snapshot is ~248 KB of JSON and ~25 KB on disk, a ratio of
+~10×. Snapshots written by older versions (indented, gzip level 9, or
+plain ``.json``) are still read transparently: the checksum covers the
+parsed payload, not its encoding.
 
 Guarantees:
 
@@ -64,6 +68,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .storage import DirectoryLock
 
 _FORMAT_VERSION = 1
+
+#: gzip level for snapshots. A snapshot is written once per iteration
+#: (or shard) on the bootstrap's critical path and read back only on
+#: resume; level 1 compresses several times faster than level 9 for a
+#: somewhat larger file. Readers never depend on the level.
+_GZIP_LEVEL = 1
+
 _SNAPSHOT_PATTERN = re.compile(r"^iteration_(\d{4})\.json(\.gz)?$")
 _SHARD_TAG_PATTERN = re.compile(
     r"^shard_tag_(\d{4})_(\d{4})\.json\.gz$"
@@ -291,21 +302,24 @@ class CheckpointStore:
     def _write_json(self, name: str, payload: dict) -> None:
         """Atomically write one JSON document into the directory.
 
-        Names ending ``.gz`` are gzip-compressed (``mtime=0`` keeps the
-        compressed bytes deterministic for identical payloads).
-        Classified environment failures raise
+        Compact JSON; names ending ``.gz`` are gzip-compressed
+        (``mtime=0`` keeps the compressed bytes deterministic for
+        identical payloads). Classified environment failures raise
         :class:`~repro.errors.StorageError`.
         """
         from .storage import atomic_writer
 
         final = self.directory / name
-        text = json.dumps(payload, ensure_ascii=False, indent=1)
+        text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
         with atomic_writer(
             final, "wb", faults=self.faults, op="checkpoint_write"
         ) as handle:
             if name.endswith(".gz"):
                 with gzip.GzipFile(
-                    fileobj=handle, mode="wb", mtime=0
+                    fileobj=handle,
+                    mode="wb",
+                    compresslevel=_GZIP_LEVEL,
+                    mtime=0,
                 ) as compressed:
                     compressed.write(text.encode("utf-8"))
             else:
@@ -480,6 +494,12 @@ class CheckpointStore:
         if _checksum(body) != stored:
             raise CheckpointError(
                 f"corrupt checkpoint file {path}: checksum mismatch"
+            )
+        if (body["iteration"], body["shard"]) != (iteration, shard):
+            raise CheckpointError(
+                f"checkpoint file {path.name} holds iteration "
+                f"{body['iteration']} shard {body['shard']}, not "
+                f"iteration {iteration} shard {shard}"
             )
         tagged = [
             _tagged_from_json(record) for record in body["tagged"]

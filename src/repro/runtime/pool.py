@@ -18,7 +18,11 @@ per-call pools with long-lived supervised workers:
   parent's supervision loop treats ``proc.exitcode is not None`` as
   the authoritative death sentinel (a SIGKILLed process cannot send a
   goodbye) and a stale heartbeat as a wedged worker, which it
-  escalates to SIGKILL and handles identically.
+  escalates to SIGKILL and handles identically. The loop is
+  event-driven: when a sweep finds nothing to do it blocks in
+  :func:`multiprocessing.connection.wait` on every worker's result
+  pipe and process sentinel, so it wakes as soon as a worker replies
+  or exits, and at least once per heartbeat interval.
 * **Respawn + requeue with deterministic retry accounting.** A dead
   worker is replaced (fresh queues — its old queue may hold a stale
   task) and its in-flight shard is requeued at the front with an
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import collections
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import queue as queue_module
@@ -74,9 +79,6 @@ DEFAULT_HEARTBEAT_TIMEOUT = 60.0
 
 #: Default extra attempts a shard gets after its first failure.
 DEFAULT_MAX_SHARD_RETRIES = 2
-
-#: Parent supervision-loop poll interval, seconds.
-_POLL_INTERVAL = 0.02
 
 #: Consecutive deaths-before-ready one slot may suffer before the pool
 #: declares the environment unable to sustain workers at all.
@@ -571,7 +573,14 @@ class ShardWorkerPool:
                             f"{self.heartbeat_timeout:g}s",
                         )
                 if not progressed:
-                    time.sleep(_POLL_INTERVAL)
+                    # Block until a worker replies or exits, waking at
+                    # least once per beat period so heartbeat silence
+                    # is still noticed.
+                    multiprocessing.connection.wait(
+                        [handle.result_queue._reader for handle in handles]
+                        + [handle.process.sentinel for handle in handles],
+                        timeout=self.heartbeat_interval,
+                    )
         finally:
             self.report.merge(report)
         return results, failures, report

@@ -1,5 +1,7 @@
 """Tests for word2vec and the similarity utilities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.embeddings.similarity import (
     shifted_cosine,
 )
 from repro.errors import EmbeddingError
+from repro.nlp.vocab import Vocabulary
 
 
 def _cluster_corpus(repeats=150):
@@ -68,6 +71,70 @@ def test_training_is_deterministic():
     first = Word2Vec(dim=8, epochs=2, seed=3).train(corpus)
     second = Word2Vec(dim=8, epochs=2, seed=3).train(corpus)
     assert np.allclose(first.vector("aka"), second.vector("aka"))
+
+
+def _golden_corpus():
+    """1,500 sentences over 63 words: 24 SGD steps whose minibatches
+    repeat every word many times."""
+    rng = np.random.default_rng(0)
+    common = ["wa", "desu", "no"]
+    return [
+        [f"w{j}" for j in rng.integers(0, 60, size=6)] + [common[i % 3]]
+        for i in range(1500)
+    ]
+
+
+#: SHA-256 of the trained input and output vectors, recorded when the
+#: update was a 2-D ``np.add.at`` and negatives came from
+#: ``Generator.choice``. Any change in draws or summation order moves
+#: them.
+GOLDEN_INPUT_SHA256 = (
+    "952e7da46c6bcbb0405cef83154c91c93aa1282447559dda0b41305b71f6ecac"
+)
+GOLDEN_OUTPUT_SHA256 = (
+    "4ab70bbec6497fd416b046408d4fb873d4b84ef84ab3ed52fb8a654d3f754ed2"
+)
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def test_trained_vectors_are_pinned_bit_for_bit():
+    model = Word2Vec(seed=7).train(_golden_corpus())
+    assert _sha256(model._input_vectors) == GOLDEN_INPUT_SHA256
+    assert _sha256(model._output_vectors) == GOLDEN_OUTPUT_SHA256
+
+
+def test_negative_draws_match_generator_choice():
+    """Inverting the once-built CDF draws what ``choice(p=...)`` draws,
+    step after step, and leaves the stream at the same position."""
+    vocabulary = Vocabulary(min_count=1)
+    for sentence in _golden_corpus():
+        vocabulary.add_all(sentence)
+    vocabulary.freeze()
+    counts = np.array(
+        [
+            max(vocabulary.count_of(vocabulary.token_of(i)), 1)
+            for i in range(len(vocabulary))
+        ],
+        dtype=np.float64,
+    )
+    counts[0] = 0.0
+    weights = counts**0.75
+    probabilities = weights / weights.sum()
+    cdf = Word2Vec()._negative_cdf(vocabulary)
+
+    by_cdf = np.random.default_rng(11)
+    by_choice = np.random.default_rng(11)
+    for step in range(200):
+        shape = (512 if step % 7 else 37, 4)
+        drawn = cdf.searchsorted(by_cdf.random(shape), side="right")
+        expected = by_choice.choice(
+            len(probabilities), size=shape, p=probabilities
+        )
+        assert np.array_equal(drawn, expected)
+    assert by_cdf.random() == by_choice.random()
 
 
 def test_cosine_similarity_bounds():

@@ -11,6 +11,7 @@ garbage.
 
 import gzip
 import json
+import shutil
 
 import pytest
 
@@ -251,6 +252,33 @@ def test_legacy_uncompressed_snapshots_still_resume(
     assert resumed.bootstrap == baseline.bootstrap
 
 
+def test_indented_level9_snapshots_still_resume(tennis, baseline, tmp_path):
+    """Snapshots are written compact, but ones encoded the older way —
+    indented JSON at gzip level 9 — still load and resume: the
+    checksum covers the parsed payload, not its encoding."""
+    _kill_after(tennis, tmp_path, 2)
+    for path in [tmp_path / "meta.json", *tmp_path.glob("iteration_*.gz")]:
+        gzipped = path.suffix == ".gz"
+        raw = path.read_bytes()
+        text = (gzip.decompress(raw) if gzipped else raw).decode("utf-8")
+        payload = json.loads(text)
+        assert text == json.dumps(
+            payload, ensure_ascii=False, separators=(",", ":")
+        )
+        old_style = json.dumps(payload, ensure_ascii=False, indent=1)
+        encoded = old_style.encode("utf-8")
+        path.write_bytes(
+            gzip.compress(encoded, compresslevel=9, mtime=0)
+            if gzipped
+            else encoded
+        )
+    state = CheckpointStore(tmp_path).load_resume_state()
+    assert state is not None and state.completed_iterations == 2
+    resumed = _run(tennis, tmp_path)
+    assert resumed.triples == baseline.triples
+    assert resumed.bootstrap == baseline.bootstrap
+
+
 def test_empty_store_has_no_resume_state(tmp_path):
     assert CheckpointStore(tmp_path).load_resume_state() is None
     assert not CheckpointStore(tmp_path).has_run()
@@ -290,6 +318,22 @@ def test_shard_tags_corruption_raises(tmp_path, make_tagged):
         json.dump(payload, handle)
     with pytest.raises(CheckpointError, match="checksum"):
         store.load_shard_tags(1, 0)
+
+
+def test_misnamed_shard_tag_snapshot_raises(tmp_path, make_tagged):
+    """A whole, checksum-valid snapshot under another shard's name is
+    not that shard's output."""
+    store = CheckpointStore(tmp_path)
+    store.write_shard_tags(
+        2, 5, [make_tagged("重さ は 500 g", "500 g", "weight")], 3
+    )
+    shutil.copy(
+        tmp_path / "shard_tag_0002_0005.json.gz",
+        tmp_path / "shard_tag_0003_0004.json.gz",
+    )
+    with pytest.raises(CheckpointError, match="iteration 2 shard 5"):
+        store.load_shard_tags(3, 4)
+    assert store.load_shard_tags(2, 5) is not None
 
 
 def test_clear_shard_tags_by_iteration_and_wholesale(

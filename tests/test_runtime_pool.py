@@ -13,10 +13,13 @@ fork/SIGKILL machinery.
 
 import os
 import signal
+import time
+import types
 
 import pytest
 
 from repro.runtime import FaultPlan, FaultSpec, ShardWorkerPool
+from repro.runtime import pool as pool_module
 from repro.runtime.pool import PoolReport, ShardFailure
 
 pytestmark = pytest.mark.usefixtures("watchdog")
@@ -180,6 +183,24 @@ def test_pooled_workers_persist_across_waves():
         )
         assert [h.process.pid for h in pool._handles] == pids
     assert results == _expected(range(4), factor=5)
+
+
+def test_pooled_waves_wait_on_events_not_sleep(monkeypatch):
+    """Between sweeps the supervisor blocks on worker pipes and
+    sentinels; it never sleeps on a polling tick."""
+    slept = []
+    monkeypatch.setattr(
+        pool_module,
+        "time",
+        types.SimpleNamespace(monotonic=time.monotonic, sleep=slept.append),
+    )
+    with ShardWorkerPool(2) as pool:
+        for factor in (3, 5, 7):
+            results, _, _ = pool.run(
+                _scale, {"factor": factor}, range(8), stage="shard_tag"
+            )
+            assert results == _expected(range(8), factor=factor)
+    assert slept == []
 
 
 def test_pooled_sigkill_respawns_and_requeues():
