@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast bench-runner bench-pipeline bench-serve bench-scale verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -53,45 +53,28 @@ bench:
 bench-fast:
 	REPRO_BENCH_PRODUCTS=120 pytest benchmarks/ --benchmark-only
 
-# Serial vs parallel sweep wall-clock -> BENCH_runner.json.
-bench-runner:
-	python benchmarks/bench_runner.py
+# The four retired bench harnesses, their artifacts and Make targets
+# must not come back: `python3 -m bench` is the one benchmark. Checks
+# every tracked file except the top-level Markdown logs and plans, which
+# keep the history, then README.md and EXPERIMENTS.md. Passes only when
+# `git grep` finds nothing (exit 1); a match or a git error fails.
+LEGACY_BENCH_RE = repro\.perf\.bench|BENCH_(pipeline|runner|scale|serve)|bench-(pipeline|runner|scale|serve)
+no-legacy-bench:
+	@git grep -nE "$(LEGACY_BENCH_RE)" -- . ':(exclude,top,glob)*.md'; test $$? -eq 1
+	@git grep -nE "$(LEGACY_BENCH_RE)" -- README.md EXPERIMENTS.md; test $$? -eq 1
 
-# Per-stage uncached-vs-optimized pipeline timings -> BENCH_pipeline.json.
-# The committed baseline was measured at this exact config on the commit
-# before the bucketed trainer landed; vs_previous tracks the true
-# before/after (per-stage speedups included).
-bench-pipeline:
-	PYTHONPATH=src python -m repro.perf.bench --out BENCH_pipeline.json \
-		--compare benchmarks/baselines/pre_trainer_pipeline.json
-
-# Serve-path bench over real HTTP: p50/p99 latency + throughput at 8
-# concurrent clients, plus shed/quarantine/breaker counters under an
-# overload burst and a seeded chaos phase -> BENCH_serve.json.
-bench-serve:
-	PYTHONPATH=src python -m repro.perf.bench_serve --out BENCH_serve.json
-
-# Streamed-bootstrap scale bench: cold vs prep-cache-warm pages/sec,
-# peak RSS, shard counts and per-stage shares at 1k/10k/100k pages ->
-# BENCH_scale.json (each scale in a fresh child process so VmHWM is
-# per-scale). Add --profile to fold cProfile tops into the record.
-bench-scale:
-	PYTHONPATH=src python -m repro.perf.bench_scale --out BENCH_scale.json
-
-# Tier-1 suite plus the serve chaos acceptance, the environment-fault
-# acceptance, a one-pass small-corpus bench smoke, the shard-layout
-# bit-identity gate (multi-shard runs with the prep cache cold, warm
-# and disabled against the one-shard `run`), the benchmark's smoke
-# tests and the full-size paper_warm digest: the quick pre-merge gate.
+# Tier-1 suite (which holds the shard-layout bit-identity matrix and
+# the published-numbers drift check) plus the serve chaos acceptance,
+# the environment-fault acceptance, the benchmark's smoke tests, the
+# full-size paper_warm digest and the retired-harness guard: the quick
+# pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
 	$(MAKE) chaos-env
-	PYTHONPATH=src python -m repro.perf.bench --out /tmp/BENCH_smoke.json \
-		--products 40 --iterations 2 --repeats 1
-	PYTHONPATH=src python -m repro.perf.bench_scale --smoke
 	PYTHONPATH=src python -m pytest bench/tests -q
 	$(MAKE) bench-digest
+	$(MAKE) no-legacy-bench
 
 examples:
 	python examples/quickstart.py

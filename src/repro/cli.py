@@ -256,13 +256,31 @@ def _command_categories() -> int:
     return 0
 
 
-def _write_trace(path: str, payload: dict) -> None:
+def _check_output_paths(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject ``--trace``/``--bench-out`` paths whose directory cannot
+    take the file, before any work is done (exit 2)."""
+    import os
+
+    outputs = (("--trace", args.trace), ("--bench-out", args.bench_out))
+    for option, path in outputs:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            parser.error(f"{option} {path}: no directory {parent}")
+        if not os.access(parent, os.W_OK | os.X_OK):
+            parser.error(f"{option} {path}: cannot write to {parent}")
+
+
+def _write_json(path: str, payload: dict, what: str) -> None:
     import json
 
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    print(f"trace written to {path}")
+    print(f"{what} written to {path}")
 
 
 def _print_category_report(
@@ -277,15 +295,6 @@ def _print_category_report(
     print(f"coverage:   {100 * result.coverage():.2f}%")
     print()
     print(iteration_report(result.bootstrap, truth, len(dataset)))
-
-
-def _write_bench(path: str, payloads: dict) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payloads, handle, indent=2)
-        handle.write("\n")
-    print(f"bench counters written to {path}")
 
 
 def _dirt_plan(args: argparse.Namespace):
@@ -378,10 +387,12 @@ def _command_run(args: argparse.Namespace) -> int:
         _print_category_report(category, dataset, result)
         _print_containment(result)
         if args.trace:
-            _write_trace(args.trace, trace.to_dict())
+            _write_json(args.trace, trace.to_dict(), "trace")
         if args.bench_out:
-            _write_bench(
-                args.bench_out, {category: result.perf_counters()}
+            _write_json(
+                args.bench_out,
+                {category: result.perf_counters()},
+                "bench counters",
             )
         return 0
     return _run_sweep(categories, config, args)
@@ -439,9 +450,13 @@ def _run_streamed(
     print()
     _print_containment(result)
     if args.trace:
-        _write_trace(args.trace, trace.to_dict())
+        _write_json(args.trace, trace.to_dict(), "trace")
     if args.bench_out:
-        _write_bench(args.bench_out, {category: result.perf_counters()})
+        _write_json(
+            args.bench_out,
+            {category: result.perf_counters()},
+            "bench counters",
+        )
     return 0
 
 
@@ -520,9 +535,9 @@ def _run_sweep(
     for line in summary["failures"]:
         print(f"  FAILED {line}")
     if args.trace:
-        _write_trace(args.trace, {"categories": traces})
+        _write_json(args.trace, {"categories": traces}, "trace")
     if args.bench_out:
-        _write_bench(args.bench_out, bench)
+        _write_json(args.bench_out, bench, "bench counters")
     return 1 if failures else 0
 
 
@@ -644,10 +659,12 @@ def _command_profile(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "categories":
         return _command_categories()
     if args.command == "run":
+        _check_output_paths(parser, args)
         return _command_run(args)
     if args.command == "serve":
         return _command_serve(args)

@@ -373,8 +373,9 @@ class Bootstrapper:
         if self.config.tagger in ("crf", "ensemble"):
             # False (not None) when disabled: the tagger then runs the
             # reference string-feature path with no private cache
-            # either, so enable_feature_cache=False really measures an
-            # uncached run (see perf/bench.py).
+            # either, so enable_feature_cache=False really is an
+            # uncached run (the reference tests/test_perf_cache.py
+            # holds the cached path to).
             feature_cache = (
                 FeatureCache(window=self.config.crf.window)
                 if self.config.enable_feature_cache

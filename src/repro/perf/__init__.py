@@ -1,11 +1,10 @@
-"""Hot-path performance layer: caching, batching, benchmarking.
+"""Hot-path performance layer: caching and batching.
 
 Everything in this package is determinism-preserving: the feature
-cache memoizes a pure function, length-bucketed tagging decodes each
-sentence independently of its batch, and the benchmark harness only
-measures. Pipeline output with these optimisations enabled is
-bit-identical to the unoptimised path (asserted in
-``tests/test_perf_cache.py``).
+cache memoizes a pure function and length-bucketed tagging decodes
+each sentence independently of its batch. Pipeline output with these
+optimisations enabled is bit-identical to the unoptimised path
+(asserted in ``tests/test_perf_cache.py``).
 """
 
 from .bucketing import length_buckets

@@ -15,8 +15,8 @@ All functions return bytes and never raise: on a platform with neither
 source they return 0, so callers can record the counter unconditionally.
 
 ``VmHWM``/``ru_maxrss`` are lifetime maxima — they never decrease. A
-benchmark comparing peaks across scales must therefore run each scale
-in a fresh process (see :mod:`repro.perf.bench_scale`).
+benchmark comparing peaks across runs must therefore measure each run
+in a fresh process (as ``python3 -m bench`` does).
 
 On top of the samplers sits the :class:`MemoryGovernor`: the
 backpressure half of the memory story. Given a budget

@@ -173,3 +173,36 @@ def test_run_command_stream_accepts_dirt(capsys):
     out = capsys.readouterr().out
     assert "streamed" in out
     assert "containment:" in out
+
+
+@pytest.mark.parametrize("option", ["--trace", "--bench-out"])
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ["--category", "tennis"],
+        ["--category", "tennis", "--stream"],
+        ["--category", "tennis,garden"],
+    ],
+    ids=["single", "stream", "sweep"],
+)
+def test_run_rejects_missing_output_directory_before_work(
+    mode, option, tmp_path, monkeypatch, capsys
+):
+    import repro.cli
+    from repro.runtime import CategoryRunner
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before the path check")
+
+    monkeypatch.setattr(repro.cli, "PAEPipeline", no_work)
+    monkeypatch.setattr(CategoryRunner, "run", no_work)
+    missing = tmp_path / "nope" / "out.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            ["run", *mode, "--products", "20", "--iterations", "1",
+             option, str(missing)]
+        )
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "no directory" in err
+    assert not missing.parent.exists()

@@ -117,6 +117,12 @@ def test_default_gate_is_noop_on_clean_corpus(vacuum):
     assert gated.bootstrap.iterations == ungated.bootstrap.iterations
     assert gated.quarantine is not None and not gated.quarantine
     assert ungated.quarantine is None
+    # Containment stays silent on a clean run: every fault, retry,
+    # skip, quarantine, repair, breaker, trainer-warning, pool, memory
+    # and storage-degradation counter is empty or zero.
+    counters = gated.resilience_counters()
+    counters.pop("peak_rss_bytes")
+    assert not any(counters.values()), counters
 
 
 # -- the kill-test -------------------------------------------------------

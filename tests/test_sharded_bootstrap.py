@@ -42,10 +42,22 @@ GOLDEN_DIGEST = (
     "c491f404079b6661858c2ef70d99c52e1576a5e3b5575536596ac8647c33f935"
 )
 
+#: sha256 of the seed triples and of ``attributes`` plus
+#: ``bootstrap.iterations`` (the whole per-iteration records) of the
+#: same run, serialised by ``_MATRIX_CHILD``'s ``digest``: dataclasses
+#: as field dicts, sets sorted by their canonical JSON, tuples kept in
+#: order, JSON with sorted keys. Captured under ``PYTHONHASHSEED=0``
+#: from the one-shard ``run``.
+GOLDEN_SEED_DIGEST = (
+    "578d614ffd60fddcdd438d1657d94d7fbc3412a504ec2c6693ca3d28c746c5aa"
+)
+GOLDEN_ITERATIONS_DIGEST = (
+    "049a8f4e9f6b6a381aa921826a4e6efbcfa73a7a54bdb77936865520c25d976e"
+)
+
 #: Child-process body: one shard layout under three prep-cache states.
 _MATRIX_CHILD = """
-import hashlib, json, sys, tempfile
-from dataclasses import replace
+import dataclasses, hashlib, json, sys, tempfile
 from repro import PAEPipeline, PipelineConfig
 from repro.corpus import Marketplace, MaterializedPageSource
 
@@ -55,10 +67,34 @@ source = MaterializedPageSource(vacuum.product_pages, shard_size=shard_size)
 config = PipelineConfig(iterations=2, pool_workers=workers)
 out = {"shards": source.shard_count}
 
+def canonical(value):
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: canonical(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, (set, frozenset)):
+        items = [canonical(item) for item in value]
+        return sorted(items, key=lambda item: json.dumps(item, sort_keys=True))
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {key: canonical(item) for key, item in value.items()}
+    return value
+
+def digest(value):
+    text = json.dumps(canonical(value), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
 def record(result):
     rows = sorted([t.product_id, t.attribute, t.value] for t in result.triples)
     return {
         "digest": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+        "seed": digest(result.seed_triples),
+        "iterations": digest({
+            "attributes": result.attributes,
+            "iterations": result.bootstrap.iterations,
+        }),
         "prep_cache": result.perf_counters()["prep_cache"],
     }
 
@@ -68,7 +104,7 @@ with tempfile.TemporaryDirectory() as cache_dir:
             source, vacuum.query_log, cache_dir=cache_dir
         ))
 out["off"] = record(PAEPipeline(
-    replace(config, enable_prep_cache=False)
+    dataclasses.replace(config, enable_prep_cache=False)
 ).run_streamed(source, vacuum.query_log))
 print(json.dumps(out))
 """
@@ -100,7 +136,8 @@ def _assert_identical(streamed, reference):
 @pytest.mark.parametrize("shard_size", [PAGES, 7, 1])
 def test_bit_identical_across_shard_and_worker_combos(shard_size, workers):
     """Every layout x pool size x prep-cache state hits the golden
-    digest of the pre-merge one-shard run."""
+    digests of the one-shard run: final triples, seed triples and the
+    whole per-iteration records."""
     env = dict(
         os.environ,
         PYTHONHASHSEED="0",
@@ -119,6 +156,8 @@ def test_bit_identical_across_shard_and_worker_combos(shard_size, workers):
     assert shards == -(-PAGES // shard_size)
     for state in ("cold", "warm", "off"):
         assert out[state]["digest"] == GOLDEN_DIGEST, state
+        assert out[state]["seed"] == GOLDEN_SEED_DIGEST, state
+        assert out[state]["iterations"] == GOLDEN_ITERATIONS_DIGEST, state
     assert out["cold"]["prep_cache"] == {"hits": 0, "misses": shards}
     assert out["warm"]["prep_cache"] == {"hits": shards, "misses": 0}
     assert out["off"]["prep_cache"] == {"hits": 0, "misses": 0}
