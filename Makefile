@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -63,11 +63,19 @@ no-legacy-bench:
 	@git grep -nE "$(LEGACY_BENCH_RE)" -- . ':(exclude,top,glob)*.md'; test $$? -eq 1
 	@git grep -nE "$(LEGACY_BENCH_RE)" -- README.md EXPERIMENTS.md; test $$? -eq 1
 
+# ShardWorkerPool is the one process fan-out: no module under src other
+# than runtime/pool.py may import concurrent.futures or multiprocessing.
+# Passes only when `git grep` finds nothing (exit 1); a match or a git
+# error fails.
+FANOUT_RE = ^\s*(from|import) (concurrent\.futures|multiprocessing)
+one-fanout:
+	@git grep -nE "$(FANOUT_RE)" -- src ':(exclude)src/repro/runtime/pool.py'; test $$? -eq 1
+
 # Tier-1 suite (which holds the shard-layout bit-identity matrix and
 # the published-numbers drift check) plus the serve chaos acceptance,
 # the environment-fault acceptance, the benchmark's smoke tests, the
-# full-size paper_warm digest and the retired-harness guard: the quick
-# pre-merge gate.
+# full-size paper_warm digest, the retired-harness guard and the
+# one-fan-out guard: the quick pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -75,6 +83,7 @@ verify:
 	PYTHONPATH=src python -m pytest bench/tests -q
 	$(MAKE) bench-digest
 	$(MAKE) no-legacy-bench
+	$(MAKE) one-fanout
 
 examples:
 	python examples/quickstart.py

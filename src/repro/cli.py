@@ -274,6 +274,48 @@ def _check_output_paths(
             parser.error(f"{option} {path}: cannot write to {parent}")
 
 
+def _check_job_timeout(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject a ``--job-timeout`` that is not a finite number of
+    seconds above zero, before any work is done (exit 2)."""
+    from .runtime.pool import check_task_timeout
+
+    try:
+        check_task_timeout(args.job_timeout)
+    except ValueError as error:
+        parser.error(f"--job-timeout {args.job_timeout}: {error}")
+
+
+def _run_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> PipelineConfig:
+    """The ``run`` command's pipeline config; a flag value the config
+    rejects is a usage error (exit 2), not a traceback."""
+    from .config import IngestConfig
+    from .errors import ConfigError
+
+    ingest_kwargs = {}
+    if args.ingest_policy is not None:
+        ingest_kwargs["policy"] = args.ingest_policy
+    if args.max_page_bytes is not None:
+        ingest_kwargs["max_page_bytes"] = args.max_page_bytes
+    try:
+        return PipelineConfig(
+            iterations=args.iterations,
+            tagger=args.tagger,
+            enable_syntactic_cleaning=not args.no_cleaning,
+            enable_semantic_cleaning=not args.no_cleaning,
+            enable_diversification=not args.no_diversification,
+            enable_prep_cache=not args.no_prep_cache,
+            memory_budget_mb=args.memory_budget,
+            pool_workers=args.pool_workers,
+            ingest=IngestConfig(**ingest_kwargs),
+        )
+    except ConfigError as error:
+        parser.error(str(error))
+
+
 def _write_json(path: str, payload: dict, what: str) -> None:
     import json
 
@@ -344,28 +386,12 @@ def _print_containment(result) -> None:
     print()
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    from .config import IngestConfig
-
+def _command_run(
+    args: argparse.Namespace, config: PipelineConfig
+) -> int:
     categories = [
         name.strip() for name in args.category.split(",") if name.strip()
     ]
-    ingest_kwargs = {}
-    if args.ingest_policy is not None:
-        ingest_kwargs["policy"] = args.ingest_policy
-    if args.max_page_bytes is not None:
-        ingest_kwargs["max_page_bytes"] = args.max_page_bytes
-    config = PipelineConfig(
-        iterations=args.iterations,
-        tagger=args.tagger,
-        enable_syntactic_cleaning=not args.no_cleaning,
-        enable_semantic_cleaning=not args.no_cleaning,
-        enable_diversification=not args.no_diversification,
-        enable_prep_cache=not args.no_prep_cache,
-        memory_budget_mb=args.memory_budget,
-        pool_workers=args.pool_workers,
-        ingest=IngestConfig(**ingest_kwargs),
-    )
     if args.stream:
         return _run_streamed(categories, config, args)
     if len(categories) == 1:
@@ -465,7 +491,7 @@ def _run_sweep(
     config: PipelineConfig,
     args: argparse.Namespace,
 ) -> int:
-    """Fan a multi-category sweep out over a CategoryRunner."""
+    """Run a multi-category sweep as one CategoryRunner wave."""
     import os
     from dataclasses import replace
 
@@ -517,11 +543,16 @@ def _run_sweep(
         if outcome.trace is not None:
             traces[outcome.job_name] = outcome.trace.to_dict()
         bench[outcome.job_name] = outcome.result.perf_counters()
-    summary = summarize_outcomes(outcomes)
+    summary = summarize_outcomes(outcomes, runner.report)
     print(
         f"sweep:      {summary['succeeded']}/{summary['jobs']} jobs "
         "succeeded"
     )
+    if any(summary["workers"].values()):
+        counts = ", ".join(
+            f"{name}={count}" for name, count in summary["workers"].items()
+        )
+        print(f"  workers: {counts}")
     if summary["quarantined"]:
         total = sum(summary["quarantined"].values())
         print(f"  quarantined across jobs: {total} page(s)")
@@ -610,7 +641,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
     from .experiments import ExperimentSettings
 
     if args.workers is not None:
-        # prefetch_runs / parallel_map resolve their pool size from
+        # prefetch_runs and Table I resolve their pool size from
         # REPRO_WORKERS via repro.runtime.default_workers.
         os.environ["REPRO_WORKERS"] = str(args.workers)
     module_name, function_name = _EXPERIMENTS[args.name]
@@ -665,7 +696,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _command_categories()
     if args.command == "run":
         _check_output_paths(parser, args)
-        return _command_run(args)
+        _check_job_timeout(parser, args)
+        return _command_run(args, _run_config(parser, args))
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "profile":

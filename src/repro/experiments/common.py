@@ -7,10 +7,10 @@ Cache keys are the full configuration reprs, so any knob change misses.
 
 Experiments declare the runs they need up front as
 :class:`RunRequest` lists and call :func:`prefetch_runs`, which fans
-cache misses out over a :class:`~repro.runtime.CategoryRunner`
-process pool and warms the memo — the per-category loops stay serial
-and readable, but the expensive bootstraps run in parallel when CPUs
-allow.
+cache misses out over a :class:`~repro.runtime.CategoryRunner` (one
+shard-worker pool wave) and warms the memo — the per-category loops
+stay serial and readable, but the expensive bootstraps run in parallel
+when CPUs allow.
 
 Scale: the paper uses 2k–12k products per category; the default bench
 scale (:data:`DEFAULT_PRODUCTS`, overridable with the
@@ -151,9 +151,9 @@ def prefetch_runs(
     """Warm the run cache for ``requests``, in parallel when possible.
 
     Deduplicates against the memo, fans the cache misses out over a
-    :class:`~repro.runtime.CategoryRunner` process pool (generator-spec
-    jobs, so only a few strings and ints cross the process boundary),
-    and stores the returned :class:`BootstrapResult` objects under the
+    :class:`~repro.runtime.CategoryRunner` wave (generator-spec jobs,
+    so only a few strings and ints cross the process boundary), and
+    stores the returned :class:`BootstrapResult` objects under the
     exact keys :func:`cached_run` will look up. Experiments keep their
     readable serial loops; every ``cached_run`` call after a prefetch
     is a cache hit.
@@ -195,7 +195,7 @@ def prefetch_runs(
         )
         for index, request in enumerate(missing)
     ]
-    runner = CategoryRunner(workers=workers, mode="process", retries=1)
+    runner = CategoryRunner(workers=workers)
     for request, outcome in zip(missing, runner.run(jobs)):
         if outcome.ok:
             _run_cache[_run_key(request)] = outcome.result.bootstrap

@@ -19,7 +19,7 @@ from ..core.text import tokenize_pages
 from ..evaluation import build_truth_sample, pair_precision, precision
 from ..evaluation.metrics import triple_coverage
 from ..evaluation.report import format_table
-from ..runtime import parallel_map
+from ..runtime import ShardWorkerPool, default_workers
 from .common import CORE_CATEGORIES, ExperimentSettings, cached_dataset
 
 
@@ -85,22 +85,29 @@ def seed_row(category: str, settings: ExperimentSettings) -> SeedRow:
     )
 
 
-def _seed_row_job(job: tuple[str, ExperimentSettings]) -> SeedRow:
-    """Picklable single-argument adapter for :func:`parallel_map`."""
-    category, settings = job
-    return seed_row(category, settings)
+def _seed_row_task(settings: ExperimentSettings, index: int) -> SeedRow:
+    """Pool task: the seed row of core category ``index``."""
+    return seed_row(CORE_CATEGORIES[index], settings)
 
 
 def run(settings: ExperimentSettings | None = None) -> Table1Result:
     """Reproduce Table I over the eight core categories.
 
     Seed construction is embarrassingly parallel across categories;
-    rows fan out over :func:`repro.runtime.parallel_map` (serial on a
-    single CPU) and come back in category order.
+    the rows run as one :class:`~repro.runtime.ShardWorkerPool` wave
+    (inline on a single CPU) and come back in category order. A row
+    that raises re-raises here with its own type.
     """
     settings = settings or ExperimentSettings()
-    rows = parallel_map(
-        _seed_row_job,
-        [(category, settings) for category in CORE_CATEGORIES],
-    )
-    return Table1Result(tuple(rows))
+    indices = range(len(CORE_CATEGORIES))
+    with ShardWorkerPool(default_workers(len(indices))) as pool:
+        rows, failures, _ = pool.run(
+            _seed_row_task, settings, indices, stage="table1"
+        )
+    if failures:
+        failure = failures[min(failures)]
+        raise RuntimeError(
+            f"Table I row {CORE_CATEGORIES[failure.index]}: worker died "
+            f"on every attempt ({failure.reason}: {failure.detail})"
+        )
+    return Table1Result(tuple(rows[index] for index in indices))

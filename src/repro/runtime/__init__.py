@@ -4,17 +4,20 @@ Public surface:
 
 * :class:`PipelineTrace` / :class:`StageEvent` — per-stage wall-clock
   and counter events of one pipeline run (``trace.py``).
-* :class:`RunnerJob` / :class:`JobOutcome` / :class:`JobFailure` — job
-  specs and structured results of a sweep (``jobs.py``).
-* :class:`CategoryRunner` / :func:`default_workers` — the
-  ``concurrent.futures``-backed fan-out engine (``runner.py``).
+* :class:`RunnerJob` / :class:`JobOutcome` / :class:`JobFailure` /
+  :class:`CategoryRunner` / :func:`default_workers` — job specs,
+  structured results and the multi-category sweep, one wave of the
+  shard-worker pool (``runner.py``).
+* :class:`Deadline` / :func:`retry_backoff` — wall-clock budgets and
+  the deterministic backoff schedule (``jobs.py``).
 * :class:`CheckpointStore` / :class:`ResumeState` — crash-safe
   per-iteration bootstrap snapshots and resume (``checkpoint.py``).
 * :class:`FaultPlan` / :class:`FaultSpec` — deterministic fault
   injection at named pipeline stages (``faults.py``).
 * :class:`ShardWorkerPool` / :class:`ShardFailure` — persistent
-  supervised shard workers with death detection, respawn and
-  poisoned-shard accounting (``pool.py``).
+  supervised workers with death detection, respawn, poisoned-shard
+  accounting and per-task time limits: the one process fan-out
+  (``pool.py``).
 * :class:`MemoryGovernor` — RSS-budget backpressure (``memory.py``).
 * :class:`DirectoryLock` / :func:`atomic_write_bytes` /
   :func:`atomic_write_text` / :func:`atomic_writer` — durable-write
@@ -32,13 +35,12 @@ from __future__ import annotations
 from .trace import PipelineTrace, StageEvent
 
 _LAZY = {
-    "RunnerJob": "jobs",
-    "JobOutcome": "jobs",
-    "JobFailure": "jobs",
-    "execute_job": "jobs",
+    "RunnerJob": "runner",
+    "JobOutcome": "runner",
+    "JobFailure": "runner",
+    "execute_job": "runner",
     "retry_backoff": "jobs",
     "CategoryRunner": "runner",
-    "parallel_map": "runner",
     "default_workers": "runner",
     "summarize_outcomes": "runner",
     "CheckpointStore": "checkpoint",
@@ -71,7 +73,6 @@ __all__ = [
     "execute_job",
     "retry_backoff",
     "CategoryRunner",
-    "parallel_map",
     "default_workers",
     "summarize_outcomes",
     "CheckpointStore",

@@ -1,13 +1,15 @@
-"""Persistent, supervised shard-worker pool.
+"""Persistent, supervised worker pool: the one process fan-out.
 
-:func:`~repro.runtime.runner.parallel_map` answers "run these chunks
-somewhere"; this module answers the production question underneath it:
-*what happens when the machine kills a worker mid-shard?* A
-``ProcessPoolExecutor`` whose worker is SIGKILLed (OOM killer, cgroup
-limit, an operator's ``kill -9``) raises ``BrokenProcessPool`` and
-abandons every in-flight task — the exact failure mode a paper-scale
-overnight bootstrap cannot afford. :class:`ShardWorkerPool` replaces
-per-call pools with long-lived supervised workers:
+Every process-parallel fan-out in the package runs here: the
+bootstrap's prep and tag waves over shards, the multi-category sweep
+(:class:`~repro.runtime.runner.CategoryRunner`) and Table I's seed
+rows. The production question it answers is *what happens when the
+machine kills a worker mid-task?* A ``concurrent.futures`` pool whose
+worker is SIGKILLed (OOM killer, cgroup limit, an operator's
+``kill -9``) raises ``BrokenProcessPool`` and abandons every in-flight
+task — the exact failure mode a paper-scale overnight bootstrap cannot
+afford. :class:`ShardWorkerPool` runs long-lived supervised workers
+instead:
 
 * **Persistent workers.** One process per slot lives across every
   fan-out of a run (prep, then each iteration's tag wave); work units
@@ -35,23 +37,31 @@ per-call pools with long-lived supervised workers:
   instead of wedging the run; the caller quarantines it
   (``check="poisoned_shard"``) and completes on the survivors, or
   raises under the strict policy. Ordinary in-worker *exceptions* are
-  not retried here — they re-raise in the parent exactly as the old
-  fan-out did, so stage-level retry/escalation semantics are
-  unchanged.
+  not retried here — they re-raise in the parent with their own type,
+  so stage-level retry/escalation semantics belong to the caller.
+* **Per-task wall-clock limit.** With ``task_timeout`` set, a worker
+  busy on one index longer than the limit is SIGKILLed and the index
+  comes back as ``ShardFailure(reason="timeout")`` — not requeued,
+  because a hung task would only hang again. Without a limit (the
+  bootstrap's waves) nothing is timed.
 
 With one worker the pool degrades to inline execution with the same
 retry/poison accounting (``worker_kill`` faults are *simulated* — the
 parent cannot SIGKILL itself — so chaos suites stay meaningful on
-1-CPU boxes).
+1-CPU boxes). Inline execution cannot preempt itself, so it does not
+enforce ``task_timeout``.
 
-Clean runs are bit-identical to the old ``parallel_map`` fan-out: the
-pool changes who executes a shard and what happens on failure, never
-the per-shard computation or the caller's deterministic merge order.
+The pool changes who executes a task and what happens on failure,
+never the per-task computation or the caller's deterministic merge
+order, so clean runs are bit-identical at any worker count. Tasks run
+in daemonic processes and therefore must not start processes of their
+own; a one-shard bootstrap inside a task runs its own pool inline.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -85,21 +95,36 @@ DEFAULT_MAX_SHARD_RETRIES = 2
 _MAX_CTX_DEATHS = 5
 
 
+def check_task_timeout(seconds: float | None) -> None:
+    """Reject a per-task wall-clock limit that is not a finite number of
+    seconds above zero; ``None`` (no limit) passes."""
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(
+            f"a task timeout must be a finite number of seconds > 0 "
+            f"(or None), got {seconds!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ShardFailure:
     """One shard's terminal failure after exhausting its retries.
 
     Attributes:
         index: the poisoned shard.
-        attempts: attempts consumed (``1 + max_shard_retries``).
-        reason: ``"worker_death"`` or ``"heartbeat_timeout"``.
+        attempts: attempts consumed (``1 + max_shard_retries``, or
+            the one attempt a ``"timeout"`` gets).
+        reason: ``"worker_death"``, ``"heartbeat_timeout"`` or
+            ``"timeout"``.
         detail: human-readable last-failure detail.
+        seconds: how long the last attempt had run when the supervisor
+            wrote it off (0.0 for a simulated inline kill).
     """
 
     index: int
     attempts: int
     reason: str
     detail: str
+    seconds: float = 0.0
 
 
 @dataclass
@@ -111,6 +136,7 @@ class PoolReport:
     requeues: int = 0
     poisoned: int = 0
     injected_kills: int = 0
+    timeouts: int = 0
 
     def as_counts(self) -> dict[str, int]:
         return {
@@ -200,6 +226,7 @@ class _WorkerHandle:
     result_queue: object
     ready: bool = False
     busy_index: int | None = None
+    busy_since: float = 0.0
     last_beat: float = field(default_factory=time.monotonic)
 
 
@@ -316,6 +343,7 @@ class ShardWorkerPool:
         stage: str,
         faults: "FaultPlan | None" = None,
         max_workers: int | None = None,
+        task_timeout: float | None = None,
     ) -> tuple[dict[int, object], dict[int, ShardFailure], PoolReport]:
         """Execute ``fn(context, index)`` for every index, supervised.
 
@@ -330,15 +358,22 @@ class ShardWorkerPool:
             indices: shard indices to run (executed in order given,
                 modulo retries).
             stage: stage name for ``worker_kill`` fault matching
-                (``"shard_prep"`` / ``"shard_tag"``).
+                (``"shard_prep"`` / ``"shard_tag"``; ``"sweep"`` and
+                ``"table1"`` for the category fan-outs).
             faults: optional plan; workers consult
                 :meth:`~repro.runtime.faults.FaultPlan.
                 should_kill_worker` before each attempt.
             max_workers: cap the slots used this wave (memory-governor
                 backpressure) without shrinking the pool.
+            task_timeout: optional wall-clock limit in seconds on one
+                attempt of one index (pooled path only); a worker past
+                it is SIGKILLed and the index comes back as a
+                ``"timeout"`` :class:`ShardFailure`, not requeued.
+                Must be finite and positive.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
+        check_task_timeout(task_timeout)
         indices = list(indices)
         if not indices:
             return {}, {}, PoolReport()
@@ -348,7 +383,7 @@ class ShardWorkerPool:
         if self.workers <= 1 or active <= 1:
             return self._run_inline(fn, context, indices, stage, faults)
         return self._run_pooled(
-            fn, context, indices, stage, faults, active
+            fn, context, indices, stage, faults, active, task_timeout
         )
 
     # -- inline degradation ---------------------------------------------
@@ -423,6 +458,7 @@ class ShardWorkerPool:
         stage: str,
         faults: "FaultPlan | None",
         active: int,
+        task_timeout: float | None,
     ) -> tuple[dict[int, object], dict[int, ShardFailure], PoolReport]:
         report = PoolReport()
         self._generation += 1
@@ -440,16 +476,21 @@ class ShardWorkerPool:
         ctx_deaths: dict[int, int] = collections.defaultdict(int)
         outstanding = len(indices)
 
-        def fail_attempt(index: int, reason: str, detail: str) -> None:
+        def fail_attempt(
+            index: int, reason: str, detail: str, seconds: float
+        ) -> None:
             nonlocal outstanding
-            if attempts[index] < self.max_attempts:
+            if reason == "timeout":
+                report.timeouts += 1
+            elif attempts[index] < self.max_attempts:
                 pending.appendleft(index)
                 report.requeues += 1
                 return
+            else:
+                report.poisoned += 1
             failures[index] = ShardFailure(
-                index, attempts[index], reason, detail
+                index, attempts[index], reason, detail, seconds
             )
-            report.poisoned += 1
             outstanding -= 1
 
         def process_message(handle: _WorkerHandle, message) -> bool:
@@ -497,7 +538,8 @@ class ShardWorkerPool:
 
         def handle_death(slot: int, reason: str, detail: str) -> None:
             handle = handles[slot]
-            report.deaths += 1
+            if reason != "timeout":
+                report.deaths += 1
             if not handle.ready and handle.busy_index is None:
                 # Died before ever becoming ready: no shard to charge
                 # the death to, so retry accounting can't bound it.
@@ -523,7 +565,12 @@ class ShardWorkerPool:
                 ):
                     faults.record_worker_kill(stage)
                     report.injected_kills += 1
-                fail_attempt(index, reason, detail)
+                fail_attempt(
+                    index,
+                    reason,
+                    detail,
+                    time.monotonic() - handle.busy_since,
+                )
             handles[slot] = self._respawn(slot)
             report.respawns += 1
             handles[slot].task_queue.put(ctx_message)
@@ -539,6 +586,7 @@ class ShardWorkerPool:
                     index = pending.popleft()
                     attempts[index] += 1
                     handle.busy_index = index
+                    handle.busy_since = time.monotonic()
                     handle.task_queue.put(
                         ("task", self._generation, index, attempts[index])
                     )
@@ -572,14 +620,36 @@ class ShardWorkerPool:
                             f"no heartbeat for "
                             f"{self.heartbeat_timeout:g}s",
                         )
+                    elif (
+                        task_timeout is not None
+                        and handle.busy_index is not None
+                        and now - handle.busy_since > task_timeout
+                    ):
+                        handle.process.kill()
+                        handle.process.join(timeout=5.0)
+                        handle_death(
+                            slot,
+                            "timeout",
+                            f"busy past its {task_timeout:g}s limit",
+                        )
                 if not progressed:
                     # Block until a worker replies or exits, waking at
                     # least once per beat period so heartbeat silence
-                    # is still noticed.
+                    # is still noticed — and no later than the first
+                    # busy worker's task limit.
+                    wait_for = self.heartbeat_interval
+                    if task_timeout is not None:
+                        now = time.monotonic()
+                        for handle in handles:
+                            if handle.busy_index is not None:
+                                wait_for = min(
+                                    wait_for,
+                                    handle.busy_since + task_timeout - now,
+                                )
                     multiprocessing.connection.wait(
                         [handle.result_queue._reader for handle in handles]
                         + [handle.process.sentinel for handle in handles],
-                        timeout=self.heartbeat_interval,
+                        timeout=max(0.0, wait_for),
                     )
         finally:
             self.report.merge(report)

@@ -1,50 +1,306 @@
-"""The parallel multi-category sweep runner.
+"""The multi-category sweep: job specs, the in-worker job loop, the runner.
 
-:class:`CategoryRunner` fans a list of :class:`~repro.runtime.jobs.
-RunnerJob` out over a ``concurrent.futures`` pool and returns one
-:class:`~repro.runtime.jobs.JobOutcome` per job **in submission
-order**, regardless of completion order — sweeps must be reproducible
-run-to-run and identical to serial execution.
+A :class:`RunnerJob` describes one pipeline run: either an explicit
+``(pages, query_log)`` dataset or a generator spec (category name +
+scale + RNG seed) that the worker materialises locally. Generator-spec
+jobs are the cheap way to fan out: a sweep sends its whole job list to
+every worker once, so a few ints and strings cross the process
+boundary instead of every job's pickled page corpus.
 
-Three execution modes:
+:func:`execute_job` runs one job with bounded retries and converts any
+exception into a structured :class:`JobFailure` instead of letting it
+propagate — a failed category must never crash the sweep. Between
+attempts it backs off with :func:`~repro.runtime.jobs.retry_backoff`,
+and an optional in-worker ``timeout`` stops the retry loop from
+starting attempts past the job's wall-clock budget.
 
-* ``"process"`` (default) — real parallelism via
-  ``ProcessPoolExecutor``; jobs and results cross the boundary by
-  pickle, so generator-spec jobs (category name + scale) are preferred
-  over shipping whole page corpora.
-* ``"thread"`` — ``ThreadPoolExecutor``; useful when results must
-  share memory with the caller or the platform cannot fork.
-* ``"serial"`` — run inline, no pool. ``workers <= 1`` always takes
-  this path, making the serial baseline exactly the parallel code
-  minus the executor.
-
-Failure semantics: ``execute_job`` converts in-job exceptions into
-:class:`JobFailure` records after bounded retries (with exponential,
-deterministically-jittered backoff between attempts); the runner
-additionally catches pool-level faults (a worker killed by the OOM
-killer, unpicklable results) and, rather than crashing the sweep,
-retries the affected job inline before recording a failure. A
-``job_timeout`` turns a hung worker into a structured
-``JobFailure(error_type="Timeout")`` instead of a stuck sweep: the
-runner stops waiting for that job's future, records the deadline miss,
-and abandons the pool without blocking on the wedged worker.
+:class:`CategoryRunner` runs a list of jobs as one wave of the
+supervised :class:`~repro.runtime.pool.ShardWorkerPool` and returns one
+:class:`JobOutcome` per job **in submission order**, so a sweep is
+reproducible run-to-run and identical to serial execution. The pool is
+what makes the sweep survive the machine: a job whose worker is
+SIGKILLed is requeued on a fresh worker, a job that keeps killing its
+worker becomes ``JobFailure(error_type="WorkerDeath")``, and with a
+``job_timeout`` a worker stuck on one job past the budget is SIGKILLed
+and the job written off as ``JobFailure(error_type="Timeout")``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FutureTimeoutError
+import time
+import traceback
+from dataclasses import dataclass
 from typing import Sequence
 
+from ..config import PipelineConfig
 from ..errors import ConfigError, JobTimeoutError
-from .jobs import JobFailure, JobOutcome, RunnerJob, execute_job
+from ..types import ProductPage
+from .jobs import retry_backoff
+from .pool import (
+    PoolReport,
+    ShardFailure,
+    ShardWorkerPool,
+    check_task_timeout,
+)
+from .trace import PipelineTrace
 
-_MODES = ("process", "thread", "serial")
+#: Extra in-worker attempts a failed sweep job gets.
+JOB_RETRIES = 1
+
+#: Backoff in seconds before a sweep job's first retry (doubles per
+#: retry, deterministic jitter; see :func:`retry_backoff`).
+JOB_BACKOFF_BASE = 0.05
+
+#: The sweep wave's :class:`PoolReport` tallies a summary carries.
+_POOL_COUNTS = ("deaths", "respawns", "requeues", "poisoned", "timeouts")
+
+
+@dataclass(frozen=True)
+class RunnerJob:
+    """One category run in a sweep.
+
+    Exactly one of (``pages`` + ``query_log``) or ``category`` must be
+    provided. ``products``/``data_seed`` only apply to generator-spec
+    jobs.
+    """
+
+    name: str
+    config: PipelineConfig
+    attribute_subset: tuple[str, ...] | None = None
+    pages: tuple[ProductPage, ...] | None = None
+    query_log: object | None = None
+    category: str | None = None
+    products: int | None = None
+    data_seed: int = 7
+    #: Optional per-job checkpoint directory: the worker snapshots each
+    #: completed bootstrap iteration there, so a retried (or re-run)
+    #: job resumes instead of recomputing finished cycles.
+    checkpoint_dir: str | None = None
+    resume: bool = True
+    #: Optional :class:`~repro.runtime.faults.FaultPlan` injected into
+    #: the worker's pipeline run (chaos testing). The plan's exhaustion
+    #: state is shared across this job's in-worker retry attempts, so a
+    #: ``times``-bounded fault hit on attempt 1 is absent on attempt 2
+    #: — exactly how a transient production fault behaves.
+    faults: object | None = None
+
+    def __post_init__(self) -> None:
+        has_dataset = self.pages is not None
+        has_spec = self.category is not None
+        if has_dataset == has_spec:
+            raise ValueError(
+                "RunnerJob needs either pages+query_log or a category "
+                "generator spec, not both"
+            )
+        if has_dataset and self.query_log is None:
+            raise ValueError("RunnerJob with pages also needs a query_log")
+
+    @classmethod
+    def from_dataset(
+        cls,
+        name: str,
+        pages: Sequence[ProductPage],
+        query_log: object,
+        config: PipelineConfig,
+        attribute_subset: Sequence[str] | None = None,
+    ) -> "RunnerJob":
+        """A job over an explicit page collection."""
+        return cls(
+            name=name,
+            config=config,
+            attribute_subset=(
+                tuple(attribute_subset)
+                if attribute_subset is not None
+                else None
+            ),
+            pages=tuple(pages),
+            query_log=query_log,
+        )
+
+    @classmethod
+    def generate(
+        cls,
+        category: str,
+        products: int,
+        config: PipelineConfig,
+        *,
+        data_seed: int = 7,
+        attribute_subset: Sequence[str] | None = None,
+        name: str | None = None,
+        checkpoint_dir: str | None = None,
+        resume: bool = True,
+    ) -> "RunnerJob":
+        """A job whose dataset the worker generates from a spec."""
+        return cls(
+            name=name or category,
+            config=config,
+            attribute_subset=(
+                tuple(attribute_subset)
+                if attribute_subset is not None
+                else None
+            ),
+            category=category,
+            products=products,
+            data_seed=data_seed,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+        )
+
+    def materialize(self) -> tuple[tuple[ProductPage, ...], object]:
+        """The (pages, query_log) this job runs over."""
+        if self.pages is not None:
+            return self.pages, self.query_log
+        from ..corpus import Marketplace
+
+        dataset = Marketplace(seed=self.data_seed).generate(
+            self.category, self.products
+        )
+        return dataset.product_pages, dataset.query_log
+
+
+@dataclass(frozen=True)
+class JobFailure:
+    """Structured record of a job that exhausted its retries."""
+
+    job_name: str
+    error_type: str
+    message: str
+    traceback: str
+    attempts: int
+
+    def __str__(self) -> str:
+        return (
+            f"{self.job_name}: {self.error_type}: {self.message} "
+            f"(after {self.attempts} attempt(s))"
+        )
+
+
+@dataclass(frozen=True)
+class JobOutcome:
+    """Result slot of one job, in submission order.
+
+    Exactly one of ``result``/``failure`` is set.
+    """
+
+    index: int
+    job_name: str
+    result: object | None  # PipelineResult, annotated loosely to avoid cycle
+    failure: JobFailure | None
+    seconds: float
+    attempts: int
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+    @property
+    def trace(self) -> PipelineTrace | None:
+        """The run's trace (None for failed jobs)."""
+        return None if self.result is None else self.result.trace
+
+
+def execute_job(
+    index: int,
+    job: RunnerJob,
+    retries: int = JOB_RETRIES,
+    timeout: float | None = None,
+    backoff_base: float = JOB_BACKOFF_BASE,
+) -> JobOutcome:
+    """Run one job, retrying on failure, never raising.
+
+    Args:
+        index: submission position (preserved for deterministic result
+            ordering).
+        job: the job spec.
+        retries: extra attempts after the first failure.
+        timeout: in-worker wall-clock budget across all attempts; once
+            elapsed, no further attempt (or backoff sleep) starts and
+            the outcome records a structured ``Timeout`` failure. The
+            budget cannot interrupt a stuck attempt mid-flight — that
+            is the pool's per-task limit's job.
+        backoff_base: first-retry backoff in seconds (doubles per
+            retry, deterministic jitter; see :func:`retry_backoff`).
+            ``0`` disables backoff.
+
+    Returns:
+        A :class:`JobOutcome` carrying either the
+        :class:`~repro.core.pipeline.PipelineResult` or a
+        :class:`JobFailure`.
+    """
+    from ..core.pipeline import PAEPipeline
+
+    attempts = 0
+    start = time.perf_counter()
+    last_failure: JobFailure | None = None
+    while attempts <= retries:
+        elapsed = time.perf_counter() - start
+        if timeout is not None and attempts > 0 and elapsed >= timeout:
+            error = JobTimeoutError(job.name, timeout)
+            last_failure = JobFailure(
+                job_name=job.name,
+                error_type="Timeout",
+                message=(
+                    f"{error}; gave up after {attempts} attempt(s), "
+                    f"last error: {last_failure.error_type}: "
+                    f"{last_failure.message}"
+                    if last_failure is not None
+                    else str(error)
+                ),
+                traceback=(
+                    last_failure.traceback
+                    if last_failure is not None
+                    else ""
+                ),
+                attempts=attempts,
+            )
+            break
+        if attempts > 0 and backoff_base > 0:
+            delay = retry_backoff(job.name, attempts, base=backoff_base)
+            if timeout is not None:
+                delay = min(delay, max(0.0, timeout - elapsed))
+            if delay > 0:
+                time.sleep(delay)
+        attempts += 1
+        try:
+            pages, query_log = job.materialize()
+            pipeline = PAEPipeline(job.config, job.attribute_subset)
+            trace = PipelineTrace(label=job.name)
+            result = pipeline.run(
+                pages,
+                query_log,
+                trace=trace,
+                checkpoint_dir=job.checkpoint_dir,
+                # Only the first attempt honours resume=False: once this
+                # invocation has begun a fresh checkpointed run, its own
+                # retries must resume it, not wipe it again.
+                resume=job.resume or attempts > 1,
+                faults=job.faults,
+            )
+            return JobOutcome(
+                index=index,
+                job_name=job.name,
+                result=result,
+                failure=None,
+                seconds=time.perf_counter() - start,
+                attempts=attempts,
+            )
+        except Exception as error:  # noqa: BLE001 - sweeps must not crash
+            last_failure = JobFailure(
+                job_name=job.name,
+                error_type=type(error).__name__,
+                message=str(error),
+                traceback=traceback.format_exc(),
+                attempts=attempts,
+            )
+    return JobOutcome(
+        index=index,
+        job_name=job.name,
+        result=None,
+        failure=last_failure,
+        seconds=time.perf_counter() - start,
+        attempts=attempts,
+    )
 
 
 def visible_cpus() -> int:
@@ -83,87 +339,22 @@ def default_workers(job_count: int | None = None) -> int:
     return workers
 
 
-def _chunk_apply(function, chunk: list) -> list:
-    """Apply ``function`` to every item of one chunk (worker side)."""
-    return [function(item) for item in chunk]
-
-
-def parallel_map(function, items, workers: int | None = None) -> list:
-    """Order-preserving process-pool map with serial fallback.
-
-    For fan-outs that are not full pipeline runs (seed-only sweeps,
-    dataset generation). ``function`` and every item must be picklable;
-    ``workers <= 1`` (the single-CPU default) runs inline. Items are
-    submitted in contiguous chunks (roughly four chunks per worker) so
-    per-task pickling and scheduling overhead amortises over many
-    items. Any pool-level fault degrades to inline execution of the
-    affected items instead of crashing. A *deterministic* per-item
-    error — one the guarded inline retry reproduces — is the item's own
-    failure, not the pool's: it re-raises with its original type and
-    traceback, exactly as the serial path would, never wrapped in (or
-    mistaken for) a pool fault.
-    """
-    items = list(items)
-    if not items:
-        return []
-    workers = (
-        default_workers(len(items))
-        if workers is None
-        else min(workers, len(items))
-    )
-    if workers <= 1:
-        return [function(item) for item in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    chunks = [
-        (start, items[start:start + chunksize])
-        for start in range(0, len(items), chunksize)
-    ]
-    results: list = [None] * len(items)
-    item_error: Exception | None = None
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (start, chunk, pool.submit(_chunk_apply, function, chunk))
-                for start, chunk in chunks
-            ]
-            for start, chunk, future in futures:
-                try:
-                    results[start:start + len(chunk)] = future.result()
-                except Exception:  # noqa: BLE001 - degrade, don't crash
-                    # The whole chunk failed in the worker; retry its
-                    # items inline, one by one, so only the genuinely
-                    # broken item surfaces an error.
-                    try:
-                        for offset, item in enumerate(chunk):
-                            results[start + offset] = function(item)
-                    except Exception as error:  # noqa: BLE001
-                        # The item itself is broken: cancel what has
-                        # not started and surface the item's error
-                        # (consistently with the serial path) below,
-                        # outside the pool shutdown.
-                        item_error = error
-                        for _, _, pending in futures:
-                            pending.cancel()
-                        break
-    except OSError:
-        # Pool construction/submission failed: degrade to serial.
-        if item_error is None:
-            return [function(item) for item in items]
-    if item_error is not None:
-        raise item_error
-    return results
-
-
-def summarize_outcomes(outcomes: Sequence[JobOutcome]) -> dict:
+def summarize_outcomes(
+    outcomes: Sequence[JobOutcome], report: PoolReport | None = None
+) -> dict:
     """Aggregate sweep health across a runner's outcomes.
 
     One dict a sweep driver can print or log: job success/failure
-    census, every structured failure line, and the dirty-input
-    containment totals merged across jobs — pages quarantined per gate
-    check, pages repaired per check, circuit-breaker trips per reason,
-    and which jobs a breaker halted early. Failed jobs contribute their
-    failure line only; nothing here ever raises on a partial sweep.
+    census, every structured failure line, the dirty-input containment
+    totals merged across jobs — pages quarantined per gate check, pages
+    repaired per check, circuit-breaker trips per reason, and which
+    jobs a breaker halted early — and, under ``"workers"``, the sweep
+    wave's worker deaths, respawns, requeues, poisoned jobs and
+    timeouts from ``report`` (:attr:`CategoryRunner.report`). Failed
+    jobs contribute their failure line only; nothing here ever raises
+    on a partial sweep.
     """
+    report = report or PoolReport()
     summary: dict = {
         "jobs": len(outcomes),
         "succeeded": sum(1 for outcome in outcomes if outcome.ok),
@@ -177,6 +368,7 @@ def summarize_outcomes(outcomes: Sequence[JobOutcome]) -> dict:
         "repaired": {},
         "circuit_breaker": {},
         "halted_jobs": [],
+        "workers": {name: getattr(report, name) for name in _POOL_COUNTS},
     }
     for outcome in outcomes:
         result = outcome.result
@@ -202,64 +394,82 @@ def summarize_outcomes(outcomes: Sequence[JobOutcome]) -> dict:
     return summary
 
 
+def _run_job(context: tuple, index: int) -> JobOutcome:
+    """Pool task: run job ``index`` of the wave's ``(jobs, timeout)``."""
+    jobs, timeout = context
+    return execute_job(index, jobs[index], timeout=timeout)
+
+
+def _written_off(
+    index: int,
+    job: RunnerJob,
+    failure: ShardFailure,
+    job_timeout: float | None,
+) -> JobOutcome:
+    """The outcome of a job the pool gave up on (no result came back)."""
+    if failure.reason == "timeout":
+        error_type = "Timeout"
+        message = str(JobTimeoutError(job.name, job_timeout))
+    else:
+        error_type = "WorkerDeath"
+        message = (
+            f"its worker died on every attempt ({failure.reason}: "
+            f"{failure.detail})"
+        )
+    return JobOutcome(
+        index=index,
+        job_name=job.name,
+        result=None,
+        failure=JobFailure(
+            job_name=job.name,
+            error_type=error_type,
+            message=message,
+            traceback="",
+            attempts=failure.attempts,
+        ),
+        seconds=failure.seconds,
+        attempts=failure.attempts,
+    )
+
+
 class CategoryRunner:
-    """Run many category pipelines with bounded parallelism.
+    """Run many category pipelines as one supervised pool wave.
 
     Args:
         workers: pool size; None resolves via :func:`default_workers`
-            at ``run()`` time. ``<= 1`` runs serially inline.
-        mode: ``"process"``, ``"thread"`` or ``"serial"``.
-        retries: extra in-worker attempts per failed job.
-        job_timeout: per-job wall-clock budget in seconds. The budget
-            is enforced twice: inside the worker (no new attempt starts
-            past it) and at collection (a worker that never answers
-            within the budget is written off as a ``Timeout`` failure
-            and the pool is abandoned without joining the hung worker).
-            None disables deadlines.
-        backoff_base: first-retry backoff in seconds for in-worker
-            retries (exponential growth, deterministic jitter; see
-            :func:`~repro.runtime.jobs.retry_backoff`). ``0`` disables
-            backoff.
+            at ``run()`` time. ``<= 1`` runs the jobs inline, in order.
+            Without a ``job_timeout`` the pool is also capped at
+            :func:`visible_cpus` — CPU-bound workers beyond the visible
+            CPUs only thrash; a deadline-bearing run keeps its
+            requested pool, because only a pooled worker can be killed
+            when it hangs.
+        job_timeout: per-job wall-clock budget in seconds, enforced
+            twice: inside the worker (no new attempt starts past it)
+            and by the pool (a worker still busy on the job past the
+            budget is SIGKILLed and the job written off as a
+            ``Timeout`` failure). Must be finite and positive; None
+            disables deadlines.
+
+    After :meth:`run`, :attr:`report` holds the wave's
+    :class:`~repro.runtime.pool.PoolReport` (pass it to
+    :func:`summarize_outcomes`).
     """
 
     def __init__(
         self,
         workers: int | None = None,
         *,
-        mode: str = "process",
-        retries: int = 1,
         job_timeout: float | None = None,
-        backoff_base: float = 0.05,
     ):
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be > 0 (or None)")
-        if backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        check_task_timeout(job_timeout)
         self.workers = workers
-        self.mode = mode
-        self.retries = retries
         self.job_timeout = job_timeout
-        self.backoff_base = backoff_base
-
-    def _execute_serial(self, jobs: list[RunnerJob]) -> list[JobOutcome]:
-        return [
-            execute_job(
-                index,
-                job,
-                self.retries,
-                timeout=self.job_timeout,
-                backoff_base=self.backoff_base,
-            )
-            for index, job in enumerate(jobs)
-        ]
+        self.report = PoolReport()
 
     def run(self, jobs: Sequence[RunnerJob]) -> list[JobOutcome]:
         """Execute every job; outcomes come back in submission order."""
         jobs = list(jobs)
+        self.report = PoolReport()
         if not jobs:
             return []
         workers = (
@@ -267,119 +477,21 @@ class CategoryRunner:
             if self.workers is None
             else min(self.workers, len(jobs))
         )
-        if self.mode == "process" and self.job_timeout is None:
-            # CPU-bound pipeline workers beyond the visible CPUs only
-            # oversubscribe the machine (context-switch thrash made a
-            # 2-worker sweep *slower* than serial on a 1-CPU box).
-            # Deadline-bearing runs keep the requested pool: a real
-            # pool is what lets the runner abandon a hung worker.
+        if self.job_timeout is None:
             workers = min(workers, visible_cpus())
-        if self.mode == "serial" or workers <= 1:
-            return self._execute_serial(jobs)
-        executor_type = (
-            ProcessPoolExecutor
-            if self.mode == "process"
-            else ThreadPoolExecutor
-        )
-        try:
-            pool = executor_type(max_workers=workers)
-        except OSError:
-            # Pool construction itself failed (fork refused, fd
-            # exhaustion): degrade to serial rather than crash.
-            return self._execute_serial(jobs)
-        outcomes: list[JobOutcome | None] = [None] * len(jobs)
-        futures: list[tuple[int, Future]] = []
-        try:
-            try:
-                futures = [
-                    (
-                        index,
-                        pool.submit(
-                            execute_job,
-                            index,
-                            job,
-                            self.retries,
-                            timeout=self.job_timeout,
-                            backoff_base=self.backoff_base,
-                        ),
-                    )
-                    for index, job in enumerate(jobs)
-                ]
-            except OSError:
-                return self._execute_serial(jobs)
-            for index, future in futures:
-                outcomes[index] = self._collect(index, jobs[index], future)
-        finally:
-            # A worker that blew its deadline may be wedged for good;
-            # joining it would wedge the sweep too, so only wait for
-            # the pool when every future actually completed.
-            completed = all(future.done() for _, future in futures)
-            pool.shutdown(wait=completed, cancel_futures=True)
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    # -- internals -----------------------------------------------------------
-
-    def _collect(
-        self, index: int, job: RunnerJob, future: Future
-    ) -> JobOutcome:
-        """Resolve one future; pool faults fall back inline.
-
-        With a ``job_timeout``, waits at most that long for the
-        worker's answer; a deadline miss becomes a structured
-        ``Timeout`` failure (no inline retry — the job is presumed
-        hung, and rerunning a hung job inline would hang the sweep).
-        """
-        try:
-            return future.result(timeout=self.job_timeout)
-        except FutureTimeoutError:
-            assert self.job_timeout is not None
-            error = JobTimeoutError(job.name, self.job_timeout)
-            return JobOutcome(
-                index=index,
-                job_name=job.name,
-                result=None,
-                failure=JobFailure(
-                    job_name=job.name,
-                    error_type="Timeout",
-                    message=str(error),
-                    traceback="",
-                    attempts=1,
-                ),
-                seconds=self.job_timeout,
-                attempts=1,
+        with ShardWorkerPool(workers) as pool:
+            results, failures, self.report = pool.run(
+                _run_job,
+                (jobs, self.job_timeout),
+                range(len(jobs)),
+                stage="sweep",
+                task_timeout=self.job_timeout,
             )
-        except Exception as error:  # noqa: BLE001 - degrade, don't crash
-            inline = execute_job(
-                index,
-                job,
-                retries=0,
-                timeout=self.job_timeout,
-                backoff_base=self.backoff_base,
+        return [
+            results[index]
+            if index in results
+            else _written_off(
+                index, job, failures[index], self.job_timeout
             )
-            if inline.ok:
-                return inline
-            # Both the pool attempt and the inline retry failed: keep
-            # the inline failure's type and traceback (the pool error
-            # is usually a symptom, the inline error the cause), note
-            # the pool fault in the message, and count every attempt —
-            # the worker's plus the inline one.
-            assert inline.failure is not None
-            merged = JobFailure(
-                job_name=job.name,
-                error_type=inline.failure.error_type,
-                message=(
-                    f"{inline.failure.message} "
-                    f"(after worker pool fault: "
-                    f"{type(error).__name__}: {error})"
-                ),
-                traceback=inline.failure.traceback,
-                attempts=inline.failure.attempts + 1,
-            )
-            return JobOutcome(
-                index=index,
-                job_name=job.name,
-                result=None,
-                failure=merged,
-                seconds=inline.seconds,
-                attempts=merged.attempts,
-            )
+            for index, job in enumerate(jobs)
+        ]

@@ -174,9 +174,7 @@ def test_sweep_survives_mixed_fault_plans(vacuum):
                   pages=vacuum.product_pages, query_log=vacuum.query_log,
                   faults=doomed),
     ]
-    outcomes = CategoryRunner(
-        workers=2, mode="thread", backoff_base=0.01
-    ).run(jobs)
+    outcomes = CategoryRunner(workers=2).run(jobs)
     assert [o.job_name for o in outcomes] == [
         "healthy", "recovering", "doomed",
     ]
@@ -202,9 +200,7 @@ def test_delay_fault_with_deadline_becomes_timeout(vacuum):
                   pages=vacuum.product_pages, query_log=vacuum.query_log),
     ]
     start = time.perf_counter()
-    outcomes = CategoryRunner(
-        workers=2, mode="thread", retries=0, job_timeout=2.5
-    ).run(jobs)
+    outcomes = CategoryRunner(workers=2, job_timeout=2.5).run(jobs)
     elapsed = time.perf_counter() - start
     assert [o.ok for o in outcomes] == [False, True]
     failure = outcomes[0].failure

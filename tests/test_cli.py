@@ -206,3 +206,79 @@ def test_run_rejects_missing_output_directory_before_work(
     err = capsys.readouterr().err
     assert option in err and "no directory" in err
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_run_rejects_bad_job_timeout_before_work(value, monkeypatch, capsys):
+    import repro.cli
+    from repro.runtime import CategoryRunner
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before the timeout check")
+
+    monkeypatch.setattr(repro.cli, "PAEPipeline", no_work)
+    monkeypatch.setattr(CategoryRunner, "run", no_work)
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            ["run", "--category", "tennis,garden", "--products", "20",
+             "--iterations", "1", "--job-timeout", value]
+        )
+    assert excinfo.value.code == 2
+    assert "--job-timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--pool-workers", "pool_workers must be >= 1"),
+        ("--memory-budget", "memory_budget_mb must be >= 1"),
+    ],
+)
+def test_run_rejects_zero_resource_flags_as_usage_error(
+    option, message, monkeypatch, capsys
+):
+    import repro.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started despite a bad flag")
+
+    monkeypatch.setattr(repro.cli, "PAEPipeline", no_work)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--category", "tennis", option, "0"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_prints_worker_counts_after_a_worker_death(
+    tmp_path, monkeypatch, capsys
+):
+    """A sweep whose worker was SIGKILLed once reports the death,
+    respawn and requeue on one ``workers:`` line and still succeeds."""
+    import os
+    import signal
+
+    from repro.runtime import RunnerJob
+    from repro.runtime import runner as runner_module
+
+    marker = tmp_path / "killed"
+    original = RunnerJob.materialize
+
+    def materialize(self):
+        if self.name == "garden" and not marker.exists():
+            marker.write_text("killed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(self)
+
+    monkeypatch.setattr(runner_module, "visible_cpus", lambda: 2)
+    monkeypatch.setattr(RunnerJob, "materialize", materialize)
+    code = main(
+        ["run", "--category", "tennis,garden", "--products", "20",
+         "--iterations", "1", "--workers", "2"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "sweep:      2/2 jobs succeeded" in out
+    assert (
+        "  workers: deaths=1, respawns=1, requeues=1, poisoned=0, "
+        "timeouts=0"
+    ) in out

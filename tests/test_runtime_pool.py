@@ -55,6 +55,12 @@ def _stop_self(context, index):
     return index
 
 
+def _sleep_on(context, index):
+    if index == context:
+        time.sleep(60)
+    return index
+
+
 def _expected(indices, factor=3):
     return {index: (index, factor * index) for index in indices}
 
@@ -288,3 +294,21 @@ def test_pooled_wedged_worker_detected_by_heartbeat():
     assert failures[1].reason == "heartbeat_timeout"
     assert report.deaths >= 1
     assert report.respawns >= 1
+
+
+def test_pooled_task_timeout_kills_without_requeue():
+    """A task busy past ``task_timeout`` is SIGKILLed and written off
+    as a ``"timeout"`` failure after one attempt — not requeued, not
+    counted as a death — while its siblings complete."""
+    with ShardWorkerPool(2) as pool:
+        results, failures, report = pool.run(
+            _sleep_on, 1, range(4), stage="sweep", task_timeout=1.0
+        )
+        again, _, _ = pool.run(_scale, {"factor": 3}, range(3), stage="s")
+    assert results == {0: 0, 2: 2, 3: 3}
+    assert set(failures) == {1}
+    failure = failures[1]
+    assert (failure.reason, failure.attempts) == ("timeout", 1)
+    assert 1.0 <= failure.seconds <= 1.0 + pool_module.HEARTBEAT_INTERVAL
+    assert report.as_counts() == {"timeouts": 1, "respawns": 1}
+    assert again == _expected(range(3))

@@ -1,6 +1,10 @@
-"""Tests for CategoryRunner: parallel sweeps, retries, degradation."""
+"""Tests for CategoryRunner: sweeps on the supervised pool, retries,
+worker death, timeouts, and Table I's pool wave."""
 
-from concurrent.futures import Future
+import math
+import os
+import signal
+import time
 
 import pytest
 
@@ -8,13 +12,17 @@ from repro.config import PipelineConfig
 from repro.errors import ConfigError
 from repro.runtime import (
     CategoryRunner,
-    JobOutcome,
     RunnerJob,
+    ShardWorkerPool,
     default_workers,
     execute_job,
-    parallel_map,
     retry_backoff,
+    summarize_outcomes,
 )
+from repro.runtime import runner as runner_module
+from repro.runtime.pool import HEARTBEAT_INTERVAL
+
+pytestmark = pytest.mark.usefixtures("watchdog")
 
 SWEEP_CATEGORIES = ("tennis", "kitchen", "garden", "vacuum_cleaner")
 
@@ -44,8 +52,8 @@ def test_job_requires_dataset_or_spec():
 
 def test_parallel_matches_serial_on_four_categories():
     """The headline determinism contract of the sweep runner."""
-    serial = CategoryRunner(mode="serial").run(_sweep_jobs())
-    parallel = CategoryRunner(workers=4, mode="process").run(_sweep_jobs())
+    serial = CategoryRunner(workers=1).run(_sweep_jobs())
+    parallel = CategoryRunner(workers=4).run(_sweep_jobs())
     assert len(serial) == len(parallel) == len(SWEEP_CATEGORIES)
     for ser, par in zip(serial, parallel):
         assert ser.ok and par.ok
@@ -68,7 +76,7 @@ def test_failed_category_yields_error_record_not_crash():
         RunnerJob.generate("no_such_category", 30, config),
         RunnerJob.generate("garden", 30, config),
     ]
-    outcomes = CategoryRunner(workers=2, retries=0).run(jobs)
+    outcomes = CategoryRunner(workers=2).run(jobs)
     assert [o.ok for o in outcomes] == [True, False, True]
     failure = outcomes[1].failure
     assert failure is not None
@@ -118,26 +126,12 @@ def test_empty_job_list():
     assert CategoryRunner().run([]) == []
 
 
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        CategoryRunner(mode="coroutine")
-
-
 def test_default_workers_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "3")
     assert default_workers() == 3
     assert default_workers(job_count=2) == 2
     monkeypatch.setenv("REPRO_WORKERS", "0")
     assert default_workers() == 1
-
-
-def test_parallel_map_preserves_order():
-    assert parallel_map(str.upper, ["a", "b", "c"], workers=2) == [
-        "A",
-        "B",
-        "C",
-    ]
-    assert parallel_map(str.upper, [], workers=2) == []
 
 
 def test_default_workers_rejects_non_integer_env(monkeypatch):
@@ -147,14 +141,29 @@ def test_default_workers_rejects_non_integer_env(monkeypatch):
 
 
 def test_runner_validates_deadline_retries_and_backoff():
+    """``job_timeout`` is validated; the in-worker retry count and the
+    backoff base are module constants, no longer runner options."""
     with pytest.raises(ValueError):
         CategoryRunner(job_timeout=0)
     with pytest.raises(ValueError):
         CategoryRunner(job_timeout=-1.0)
+    for option in ("retries", "backoff_base", "mode"):
+        with pytest.raises(TypeError):
+            CategoryRunner(**{option: 1})
+    assert runner_module.JOB_RETRIES == 1
+    assert runner_module.JOB_BACKOFF_BASE == 0.05
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+def test_runner_rejects_non_finite_or_non_positive_timeout(timeout):
     with pytest.raises(ValueError):
-        CategoryRunner(backoff_base=-0.1)
-    with pytest.raises(ValueError):
-        CategoryRunner(retries=-1)
+        CategoryRunner(workers=2, job_timeout=timeout)
+    with ShardWorkerPool(2) as pool, pytest.raises(ValueError):
+        pool.run(_echo, None, range(2), stage="sweep", task_timeout=timeout)
+
+
+def _echo(context, index):
+    return index
 
 
 def test_retry_backoff_is_deterministic_and_capped():
@@ -165,93 +174,197 @@ def test_retry_backoff_is_deterministic_and_capped():
     assert retry_backoff("tennis", 1, base=0.0) == 0.0
 
 
-def _failed_future(error: Exception) -> Future:
-    future: Future = Future()
-    future.set_exception(error)
-    return future
+def _kill_own_worker_once(marker, victim):
+    """A ``RunnerJob.materialize`` that SIGKILLs the worker running job
+    ``victim`` the first time, leaving ``marker`` behind so the
+    requeued attempt (a fork of the same parent) runs normally."""
+    original = RunnerJob.materialize
+
+    def materialize(self):
+        if self.name == victim and not marker.exists():
+            marker.write_text("killed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(self)
+
+    return materialize
 
 
-def test_collect_pool_fault_recovers_inline():
-    """A worker that died of a pool-level fault gets one inline retry."""
-    runner = CategoryRunner(workers=2, backoff_base=0.0)
-    job = RunnerJob.generate("tennis", 30, PipelineConfig(iterations=1))
-    outcome = runner._collect(
-        0, job, _failed_future(RuntimeError("pool died"))
+def test_sweep_requeues_job_whose_worker_died(tmp_path, monkeypatch):
+    """A SIGKILLed sweep worker is respawned and its job requeued; the
+    outcome equals a clean run and the summary counts the death."""
+    jobs = _sweep_jobs(products=30)[:2]
+    clean = CategoryRunner(workers=1).run(jobs)
+    monkeypatch.setattr(runner_module, "visible_cpus", lambda: 2)
+    monkeypatch.setattr(
+        RunnerJob,
+        "materialize",
+        _kill_own_worker_once(tmp_path / "killed", jobs[1].name),
     )
-    assert outcome.ok
-    assert outcome.result is not None
+    runner = CategoryRunner(workers=2)
+    outcomes = runner.run(jobs)
+    assert (tmp_path / "killed").exists()
+    assert [outcome.ok for outcome in outcomes] == [True, True]
+    for ours, theirs in zip(outcomes, clean):
+        assert ours.result.bootstrap == theirs.result.bootstrap
+        assert ours.result.triples == theirs.result.triples
+    workers = summarize_outcomes(outcomes, runner.report)["workers"]
+    assert workers["deaths"] == workers["requeues"] == 1
+    assert workers["respawns"] == 1
+    assert workers["poisoned"] == workers["timeouts"] == 0
 
 
-def test_collect_merges_pool_and_inline_failures():
-    """When the inline retry fails too, the merged failure keeps the
-    inline root cause, notes the pool fault, and counts both attempts."""
-    runner = CategoryRunner(workers=2, backoff_base=0.0)
-    job = RunnerJob.generate(
-        "no_such_category", 30, PipelineConfig(iterations=1)
+def test_job_that_always_kills_its_worker_is_written_off(monkeypatch):
+    """A job whose worker dies on every attempt is poisoned into a
+    structured WorkerDeath failure; its sibling still succeeds."""
+    original = RunnerJob.materialize
+
+    def materialize(self):
+        if self.name == "doomed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(self)
+
+    monkeypatch.setattr(runner_module, "visible_cpus", lambda: 2)
+    monkeypatch.setattr(RunnerJob, "materialize", materialize)
+    config = PipelineConfig(iterations=1)
+    jobs = [
+        RunnerJob.generate("tennis", 30, config),
+        RunnerJob.generate("garden", 30, config, name="doomed"),
+    ]
+    runner = CategoryRunner(workers=2)
+    outcomes = runner.run(jobs)
+    assert [outcome.ok for outcome in outcomes] == [True, False]
+    failure = outcomes[1].failure
+    assert failure.error_type == "WorkerDeath"
+    assert failure.attempts == outcomes[1].attempts == 3
+    assert "worker_death" in failure.message
+    workers = summarize_outcomes(outcomes, runner.report)["workers"]
+    assert workers["deaths"] == 3
+    assert workers["requeues"] == 2
+    assert workers["poisoned"] == 1
+
+
+def test_hung_job_times_out_within_limit_plus_heartbeat(monkeypatch):
+    """A job stuck past ``job_timeout`` is SIGKILLed and written off as
+    Timeout within the limit plus one heartbeat interval, without
+    waiting for it; its sibling succeeds."""
+    original = RunnerJob.materialize
+
+    def materialize(self):
+        if self.name == "hung":
+            time.sleep(60)
+        return original(self)
+
+    monkeypatch.setattr(RunnerJob, "materialize", materialize)
+    config = PipelineConfig(iterations=1)
+    jobs = [
+        RunnerJob.generate("tennis", 30, config, name="hung"),
+        RunnerJob.generate("garden", 30, config),
+    ]
+    limit = 2.0
+    runner = CategoryRunner(workers=2, job_timeout=limit)
+    start = time.monotonic()
+    outcomes = runner.run(jobs)
+    elapsed = time.monotonic() - start
+    assert [outcome.ok for outcome in outcomes] == [False, True]
+    hung = outcomes[0]
+    assert hung.failure.error_type == "Timeout"
+    assert f"{limit:g}s" in hung.failure.message
+    assert limit <= hung.seconds <= limit + HEARTBEAT_INTERVAL
+    assert elapsed < 30
+    workers = summarize_outcomes(outcomes, runner.report)["workers"]
+    assert workers["timeouts"] == 1
+    assert workers["deaths"] == workers["requeues"] == 0
+
+
+def test_pool_workers_job_inside_pooled_sweep_equals_serial(monkeypatch):
+    """Sweep jobs run in daemonic pool workers and must not start
+    processes: a ``pool_workers=2`` job runs its one-shard bootstrap
+    inline and matches the serial sweep."""
+    monkeypatch.setattr(runner_module, "visible_cpus", lambda: 2)
+    config = PipelineConfig(iterations=1, pool_workers=2)
+    jobs = [
+        RunnerJob.generate(category, 30, config, data_seed=7)
+        for category in SWEEP_CATEGORIES[:2]
+    ]
+    serial = CategoryRunner(workers=1).run(jobs)
+    runner = CategoryRunner(workers=2)
+    pooled = runner.run(jobs)
+    assert [outcome.ok for outcome in pooled] == [True, True]
+    for ours, theirs in zip(pooled, serial):
+        assert ours.result.bootstrap == theirs.result.bootstrap
+        assert ours.result.triples == theirs.result.triples
+    assert runner.report.deaths == 0
+
+
+def test_table1_rows_from_pool_match_serial_rows(monkeypatch):
+    from repro.experiments import table1
+    from repro.experiments.common import (
+        CORE_CATEGORIES,
+        ExperimentSettings,
+        clear_cache,
     )
-    outcome = runner._collect(
-        0, job, _failed_future(RuntimeError("pool died"))
+
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    settings = ExperimentSettings(products=30, iterations=1)
+    clear_cache()
+    pooled = table1.run(settings).rows
+    assert pooled == tuple(
+        table1.seed_row(category, settings)
+        for category in CORE_CATEGORIES
     )
-    assert not outcome.ok
-    failure = outcome.failure
-    assert failure.attempts == 2
-    assert outcome.attempts == 2
-    # The inline error is the root cause; the pool fault is context.
-    assert failure.error_type != "RuntimeError"
-    assert "worker pool fault: RuntimeError: pool died" in failure.message
-    assert failure.traceback
 
 
-def _record_and_maybe_raise(item):
-    path, index = item
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(f"{index}\n")
-    if index == 1:
-        raise OSError("deterministic item failure")
-    return index * 10
+def test_table1_row_error_reraises_with_its_type(tmp_path, monkeypatch):
+    """A row that raises in a pool worker re-raises in the parent with
+    its own type (even an OSError), after exactly one attempt."""
+    from repro.experiments import table1
+    from repro.experiments.common import ExperimentSettings
 
+    log = tmp_path / "calls.log"
 
-def test_parallel_map_item_error_raises_without_serial_rerun(tmp_path):
-    """A deterministic per-item failure surfaces with its original type
-    (even an OSError, the pool-degradation trigger) after exactly one
-    guarded inline retry — never a full serial re-run of every item."""
-    path = str(tmp_path / "calls.log")
-    items = [(path, 0), (path, 1), (path, 2)]
-    with pytest.raises(OSError, match="deterministic item failure"):
-        parallel_map(_record_and_maybe_raise, items, workers=2)
-    with open(path, encoding="utf-8") as handle:
-        calls = [int(line) for line in handle.read().split()]
-    assert calls.count(1) == 2  # pool attempt + guarded inline retry
-    assert calls.count(0) == 1  # healthy items never re-run
+    def seed_row(category, settings):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{category}\n")
+        if category == "kitchen":
+            raise OSError("deterministic row failure")
+        return category
+
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.setattr(table1, "seed_row", seed_row)
+    with pytest.raises(OSError, match="deterministic row failure"):
+        table1.run(ExperimentSettings(products=30))
+    calls = log.read_text(encoding="utf-8").split()
+    assert calls.count("kitchen") == 1
 
 
 def test_process_pool_capped_at_visible_cpus(monkeypatch):
     """Requesting more workers than CPUs must not oversubscribe."""
-    from repro.runtime import runner as runner_module
-
     monkeypatch.setattr(runner_module, "visible_cpus", lambda: 1)
 
-    def _no_pool(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("pool built despite 1 visible CPU")
+    def _no_spawn(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("worker spawned despite 1 visible CPU")
 
-    monkeypatch.setattr(
-        runner_module, "ProcessPoolExecutor", _no_pool
-    )
-    outcomes = CategoryRunner(workers=4, mode="process").run(
-        _sweep_jobs(products=30)[:2]
-    )
+    monkeypatch.setattr(ShardWorkerPool, "_spawn", _no_spawn)
+    outcomes = CategoryRunner(workers=4).run(_sweep_jobs(products=30)[:2])
     assert [outcome.ok for outcome in outcomes] == [True, True]
 
 
 def test_deadline_runs_keep_requested_pool(monkeypatch):
     """A job_timeout needs a real pool even on a 1-CPU box."""
-    from repro.runtime import runner as runner_module
-
     monkeypatch.setattr(runner_module, "visible_cpus", lambda: 1)
-    outcomes = CategoryRunner(
-        workers=2, mode="process", job_timeout=120.0
-    ).run(_sweep_jobs(products=30)[:2])
+    spawned = []
+    spawn = ShardWorkerPool._spawn
+
+    def counting_spawn(pool):
+        spawned.append(pool.workers)
+        return spawn(pool)
+
+    monkeypatch.setattr(ShardWorkerPool, "_spawn", counting_spawn)
+    outcomes = CategoryRunner(workers=2, job_timeout=120.0).run(
+        _sweep_jobs(products=30)[:2]
+    )
     assert [outcome.ok for outcome in outcomes] == [True, True]
+    assert spawned == [2, 2]
 
 
 def test_job_results_carry_no_training_material():
