@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -71,11 +71,19 @@ FANOUT_RE = ^\s*(from|import) (concurrent\.futures|multiprocessing)
 one-fanout:
 	@git grep -nE "$(FANOUT_RE)" -- src ':(exclude)src/repro/runtime/pool.py'; test $$? -eq 1
 
+# scipy's public API is the only one src may use: no import of a
+# private (underscore) scipy module or name. Passes only when `git grep`
+# finds nothing (exit 1); a match or a git error fails.
+PRIVATE_SCIPY_RE = (from|import) scipy[a-z_.]*\._|from scipy[a-z_.]* import _
+no-private-scipy:
+	@git grep -nE "$(PRIVATE_SCIPY_RE)" -- src; test $$? -eq 1
+
 # Tier-1 suite (which holds the shard-layout bit-identity matrix and
 # the published-numbers drift check) plus the serve chaos acceptance,
 # the environment-fault acceptance, the benchmark's smoke tests, the
-# full-size paper_warm digest, the retired-harness guard and the
-# one-fan-out guard: the quick pre-merge gate.
+# full-size paper_warm digest, the retired-harness guard, the
+# one-fan-out guard and the private-scipy guard: the quick pre-merge
+# gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -84,6 +92,7 @@ verify:
 	$(MAKE) bench-digest
 	$(MAKE) no-legacy-bench
 	$(MAKE) one-fanout
+	$(MAKE) no-private-scipy
 
 examples:
 	python examples/quickstart.py

@@ -125,11 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "becomes a structured Timeout failure instead of a stuck sweep",
     )
     run.add_argument(
-        "--bench-out", metavar="PATH", default=None,
-        help="write per-stage wall-clock timings and feature-cache "
-        "hit/miss counters to this JSON file",
-    )
-    run.add_argument(
         "--ingest-policy", choices=("strict", "repair", "drop"),
         default=None,
         help="how the ingest gate treats pages that fail validation: "
@@ -165,12 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the supervised shard pool "
         "(output-identical for any N >= 1; default: CPUs visible to "
         "the process, capped at the shard count)",
-    )
-    run.add_argument(
-        "--no-prep-cache", action="store_true",
-        help="disable the cross-run shard-prep artifact cache "
-        "(output-identical either way; prep is recomputed from "
-        "scratch)",
     )
     run.add_argument(
         "--dirt-rate", type=float, default=0.0, metavar="FRACTION",
@@ -259,19 +248,17 @@ def _command_categories() -> int:
 def _check_output_paths(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject ``--trace``/``--bench-out`` paths whose directory cannot
-    take the file, before any work is done (exit 2)."""
+    """Reject a ``--trace`` path whose directory cannot take the file,
+    before any work is done (exit 2)."""
     import os
 
-    outputs = (("--trace", args.trace), ("--bench-out", args.bench_out))
-    for option, path in outputs:
-        if path is None:
-            continue
-        parent = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(parent):
-            parser.error(f"{option} {path}: no directory {parent}")
-        if not os.access(parent, os.W_OK | os.X_OK):
-            parser.error(f"{option} {path}: cannot write to {parent}")
+    if args.trace is None:
+        return
+    parent = os.path.dirname(os.path.abspath(args.trace))
+    if not os.path.isdir(parent):
+        parser.error(f"--trace {args.trace}: no directory {parent}")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        parser.error(f"--trace {args.trace}: cannot write to {parent}")
 
 
 def _check_job_timeout(
@@ -307,7 +294,6 @@ def _run_config(
             enable_syntactic_cleaning=not args.no_cleaning,
             enable_semantic_cleaning=not args.no_cleaning,
             enable_diversification=not args.no_diversification,
-            enable_prep_cache=not args.no_prep_cache,
             memory_budget_mb=args.memory_budget,
             pool_workers=args.pool_workers,
             ingest=IngestConfig(**ingest_kwargs),
@@ -414,12 +400,6 @@ def _command_run(
         _print_containment(result)
         if args.trace:
             _write_json(args.trace, trace.to_dict(), "trace")
-        if args.bench_out:
-            _write_json(
-                args.bench_out,
-                {category: result.perf_counters()},
-                "bench counters",
-            )
         return 0
     return _run_sweep(categories, config, args)
 
@@ -477,12 +457,6 @@ def _run_streamed(
     _print_containment(result)
     if args.trace:
         _write_json(args.trace, trace.to_dict(), "trace")
-    if args.bench_out:
-        _write_json(
-            args.bench_out,
-            {category: result.perf_counters()},
-            "bench counters",
-        )
     return 0
 
 
@@ -522,7 +496,6 @@ def _run_sweep(
     )
     outcomes = runner.run(jobs)
     traces: dict[str, dict] = {}
-    bench: dict[str, dict] = {}
     failures = 0
     for outcome in outcomes:
         if not outcome.ok:
@@ -542,7 +515,6 @@ def _run_sweep(
         print()
         if outcome.trace is not None:
             traces[outcome.job_name] = outcome.trace.to_dict()
-        bench[outcome.job_name] = outcome.result.perf_counters()
     summary = summarize_outcomes(outcomes, runner.report)
     print(
         f"sweep:      {summary['succeeded']}/{summary['jobs']} jobs "
@@ -567,8 +539,6 @@ def _run_sweep(
         print(f"  FAILED {line}")
     if args.trace:
         _write_json(args.trace, {"categories": traces}, "trace")
-    if args.bench_out:
-        _write_json(args.bench_out, bench, "bench counters")
     return 1 if failures else 0
 
 

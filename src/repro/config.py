@@ -394,16 +394,6 @@ class PipelineConfig:
     #: folded dataset is the last unbounded per-iteration structure —
     #: this knob bounds it deterministically, for any shard layout.
     max_labeled_sentences: int | None = None
-    #: Memoize feature extraction across bootstrap iterations (see
-    #: :mod:`repro.perf.cache`). Output-invisible; off only to measure
-    #: the uncached baseline.
-    enable_feature_cache: bool = True
-    #: Reuse shard-prep artifacts (gate + tokenize + candidate mining)
-    #: across runs of the same source and gate/tokenizer config (see
-    #: :mod:`repro.perf.prep_cache`). Output-invisible — a cache hit
-    #: replays the recorded per-page outcomes through the same
-    #: deterministic merge; off only to measure the uncached baseline.
-    enable_prep_cache: bool = True
     #: Soft RSS ceiling in MiB for every bootstrap run (None = no
     #: governor). Crossing it throttles shard fan-out and tag batches
     #: and releases tokenizer memos — counted backpressure, never an

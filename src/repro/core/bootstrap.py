@@ -369,18 +369,11 @@ class Bootstrapper:
         # Per-run performance state, kept in locals for re-entrancy:
         # the feature cache makes iterations 2+ reuse iteration 1's
         # extraction work.
-        feature_cache: FeatureCache | bool | None = None
-        if self.config.tagger in ("crf", "ensemble"):
-            # False (not None) when disabled: the tagger then runs the
-            # reference string-feature path with no private cache
-            # either, so enable_feature_cache=False really is an
-            # uncached run (the reference tests/test_perf_cache.py
-            # holds the cached path to).
-            feature_cache = (
-                FeatureCache(window=self.config.crf.window)
-                if self.config.enable_feature_cache
-                else False
-            )
+        feature_cache: FeatureCache | None = (
+            FeatureCache(window=self.config.crf.window)
+            if self.config.tagger in ("crf", "ensemble")
+            else None
+        )
         start_iteration = 1
         if checkpoint is not None:
             restored = None
@@ -453,7 +446,7 @@ class Bootstrapper:
                 if not self._checkpoint_disabled:
                     # The iteration snapshot supersedes its shard files.
                     checkpoint.clear_shard_tags(iteration)
-        if isinstance(feature_cache, FeatureCache):
+        if feature_cache is not None:
             trace.count(
                 "feature_cache",
                 hits=feature_cache.hits,
@@ -854,7 +847,7 @@ class Bootstrapper:
         cumulative: set[Triple],
         trace: PipelineTrace,
         faults: "FaultPlan | None",
-        feature_cache: FeatureCache | bool | None = None,
+        feature_cache: FeatureCache | None = None,
         checkpoint: "CheckpointStore | None" = None,
         *,
         pool: "ShardWorkerPool",
@@ -934,7 +927,7 @@ class Bootstrapper:
         stage,
         iteration: int,
         dataset: list[TaggedSentence],
-        feature_cache: FeatureCache | bool | None = None,
+        feature_cache: FeatureCache | None = None,
     ):
         # The model is built inside the stage body so a retried stage
         # trains a fresh, identically-seeded tagger. The shared feature

@@ -151,12 +151,11 @@ class PipelineResult:
 
         Returns a dict with three keys: ``"feature_cache"`` — the
         cross-iteration feature cache's ``hits``/``misses`` (both zero
-        when the cache was disabled or the backend has none) —
-        ``"prep_cache"`` — shard-prep artifact cache ``hits``/
-        ``misses`` in cached shards (both zero with the cache disabled
-        or bypassed) — and ``"stage_seconds"`` —
-        cumulative wall-clock per pipeline stage from the trace.
-        Empty/zero without a trace.
+        when the backend has none) — ``"prep_cache"`` — shard-prep
+        artifact cache ``hits``/``misses`` in cached shards (both zero
+        when a page-corrupting fault plan bypassed the cache) — and
+        ``"stage_seconds"`` — cumulative wall-clock per pipeline stage
+        from the trace. Empty/zero without a trace.
         """
         if self.trace is None:
             return {

@@ -40,8 +40,7 @@ before returning; a killed run re-fans only the shards with no
 snapshot.
 
 Prep caching: prep output is iteration-invariant and pure in the page
-bytes and gate/tokenizer config, so (unless disabled via
-``PipelineConfig.enable_prep_cache`` or bypassed because the fault
+bytes and gate/tokenizer config, so (unless bypassed because the fault
 plan corrupts pages) each shard's artifacts are kept across runs in
 :mod:`repro.perf.prep_cache` — checksummed gzip artifacts under
 ``<checkpoint>/prep_cache`` (or an explicit ``cache_dir``), a bounded
@@ -408,15 +407,13 @@ def shard_cache(
     keyed prep-artifact subdirectory, else ``<checkpoint>/prep_cache``'s
     (both retained across runs), else a self-cleaning temporary
     directory backed by the process-global memory tier. With the prep
-    cache off or bypassed, a checkpoint-owned ``shard_cache`` directory
+    cache bypassed, a checkpoint-owned ``shard_cache`` directory
     is scaffolding — prep rebuilds it deterministically on resume — and
     is removed on exit. ``prep_store`` is None when nothing is cached.
     """
     # Page-corrupting fault plans poison prep output: never record it
     # as clean, never mask it with a clean artifact.
-    use_cache = config.enable_prep_cache and not (
-        faults is not None and faults.has_page_faults()
-    )
+    use_cache = faults is None or not faults.has_page_faults()
     digest = prep_digest(config.ingest if config.ingest.enabled else None)
     fingerprint = source.fingerprint()
     root: pathlib.Path | None = None

@@ -19,7 +19,7 @@ from ..perf.cache import FeatureCache
 def make_tagger(
     config: PipelineConfig,
     iteration: int = 0,
-    feature_cache: FeatureCache | bool | None = None,
+    feature_cache: FeatureCache | None = None,
 ) -> SequenceTagger:
     """Build a fresh tagger for one bootstrap iteration.
 
@@ -32,9 +32,7 @@ def make_tagger(
             feature extraction is memoized across iterations (each
             iteration still gets a *fresh model*; only the extracted
             feature strings — pure functions of the sentences — are
-            reused). ``False`` disables caching entirely: the CRF runs
-            the reference string-feature path, re-extracting on every
-            call (output-identical, benchmark baseline).
+            reused).
     """
     if config.tagger == "crf":
         return CrfTagger(config.crf, feature_cache=feature_cache)

@@ -38,7 +38,7 @@ from .marketplace import CategoryDataset, GeneratedPage
 from .querylog import QueryLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..ingest import Quarantine
+    from ..ingest import Quarantine, QuarantineEntry
 
 _FORMAT_VERSION = 1
 
@@ -129,31 +129,38 @@ def _parse_row(
 
 
 def _row_policy_skip(
-    error: DatasetError,
-    policy: str,
-    quarantine: "Quarantine | None",
-) -> None:
+    error: DatasetError, policy: str
+) -> "QuarantineEntry":
     """Handle one bad row under the ingest policy vocabulary.
 
     ``strict`` re-raises; ``repair``/``drop`` (a serialized row has
-    nothing to repair, so they behave identically here) record the row
-    in the ledger, when one was passed, and skip it.
+    nothing to repair, so they behave identically here) skip the row
+    and return the ``check="jsonl"`` ledger entry that stands for it.
     """
     if policy == "strict":
         raise error
-    if quarantine is not None:
-        from ..ingest import QuarantineEntry
+    from ..ingest import QuarantineEntry
 
-        quarantine.add(
-            QuarantineEntry(
-                page_id=f"line-{error.line}",
-                check="jsonl",
-                error=type(error).__name__,
-                detail=str(error),
-                source=error.path,
-                line=error.line,
-            )
+    return QuarantineEntry(
+        page_id=f"line-{error.line}",
+        check="jsonl",
+        error=type(error).__name__,
+        detail=str(error),
+        source=error.path,
+        line=error.line,
+    )
+
+
+def _read_query_log(directory: pathlib.Path) -> QueryLog:
+    """The directory's ``querylog.json``, or an empty log."""
+    query_path = directory / "querylog.json"
+    return QueryLog(
+        Counter(
+            json.loads(query_path.read_text())
+            if query_path.exists()
+            else {}
         )
+    )
 
 
 def _check_policy(policy: str) -> None:
@@ -184,7 +191,9 @@ JsonlPageSource`) never re-materialize the file behind the streaming
             try:
                 yield _parse_row(line, number, pages_path, required)
             except DatasetError as error:
-                _row_policy_skip(error, policy, quarantine)
+                entry = _row_policy_skip(error, policy)
+                if quarantine is not None:
+                    quarantine.add(entry)
 
 
 def load_dataset(
@@ -241,10 +250,6 @@ def load_dataset(
                 assignment=dict(record.get("assignment", {})),
             )
         )
-    query_path = directory / "querylog.json"
-    counts = Counter(
-        json.loads(query_path.read_text()) if query_path.exists() else {}
-    )
     schemas = tuple(
         get_schema(name) for name in meta.get("schemas", ())
     )
@@ -257,7 +262,7 @@ def load_dataset(
         name=meta["name"],
         locale=meta["locale"],
         pages=tuple(pages),
-        query_log=QueryLog(counts),
+        query_log=_read_query_log(directory),
         schemas=schemas,
     )
 
@@ -303,8 +308,4 @@ def load_pages(
                 record.get("locale", "ja"),
             )
         )
-    query_path = directory / "querylog.json"
-    counts = Counter(
-        json.loads(query_path.read_text()) if query_path.exists() else {}
-    )
-    return pages, QueryLog(counts)
+    return pages, _read_query_log(directory)

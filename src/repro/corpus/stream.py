@@ -40,11 +40,11 @@ import pathlib
 import random
 from typing import Iterator
 
-from ..config import INGEST_POLICIES
 from ..errors import ConfigError, DatasetError, ReproError, SchemaError
 from ..ingest.quarantine import QuarantineEntry
 from ..types import ProductPage
 from .categories import HETEROGENEOUS_UNIONS, get_schema
+from .io import _check_policy, _parse_row, _read_query_log, _row_policy_skip
 from .pages import GeneratedPage, PageGenerator
 from .querylog import QueryLog, build_query_log
 
@@ -281,10 +281,7 @@ class JsonlPageSource(PageSource):
         locale: str = "ja",
     ):
         _check_shard_size(shard_size)
-        if policy not in INGEST_POLICIES:
-            raise ConfigError(
-                f"policy must be one of {INGEST_POLICIES}, got {policy!r}"
-            )
+        _check_policy(policy)
         path = pathlib.Path(path)
         self.path = path / "pages.jsonl" if path.is_dir() else path
         if not self.path.exists():
@@ -306,8 +303,6 @@ class JsonlPageSource(PageSource):
         self._size = self.path.stat().st_size
 
     def shard(self, index: int) -> list[ShardRecord]:
-        from .io import _parse_row
-
         self._check_index(index)
         start, end = self._shard_bounds(index)
         records: list[ShardRecord] = []
@@ -320,18 +315,7 @@ class JsonlPageSource(PageSource):
                         line, number, self.path, ("product_id", "html")
                     )
                 except DatasetError as error:
-                    if self.policy == "strict":
-                        raise
-                    records.append(
-                        QuarantineEntry(
-                            page_id=f"line-{error.line}",
-                            check="jsonl",
-                            error=type(error).__name__,
-                            detail=str(error),
-                            source=error.path,
-                            line=error.line,
-                        )
-                    )
+                    records.append(_row_policy_skip(error, self.policy))
                     continue
                 records.append(
                     ProductPage(
@@ -345,15 +329,7 @@ class JsonlPageSource(PageSource):
 
     def query_log(self) -> QueryLog:
         """The sibling ``querylog.json``, or an empty log."""
-        from collections import Counter
-
-        query_path = self.path.parent / "querylog.json"
-        counts = Counter(
-            json.loads(query_path.read_text())
-            if query_path.exists()
-            else {}
-        )
-        return QueryLog(counts)
+        return _read_query_log(self.path.parent)
 
     def fingerprint(self) -> str:
         body = json.dumps(

@@ -48,7 +48,7 @@ class EnsembleTagger:
         policy: str = "agreement",
         crf_config: CrfConfig | None = None,
         lstm_config: LstmConfig | None = None,
-        feature_cache: FeatureCache | bool | None = None,
+        feature_cache: FeatureCache | None = None,
     ):
         if policy not in self.POLICIES:
             raise ConfigError(

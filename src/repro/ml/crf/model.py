@@ -27,6 +27,15 @@ from .train import CrfProblem, train_crf
 #: to one monolithic batch.
 TAG_BATCH_SIZE = 64
 
+#: Distinct sentences a tagger's *own* feature cache may hold before
+#: the next decode starts over from a fresh one. A serving tagger
+#: (:func:`~repro.ml.persistence.load_crf`) owns its cache and would
+#: otherwise memoize every sentence and intern every unseen feature it
+#: is ever asked to tag. Set far above a serve daemon's working set so
+#: repeated traffic keeps hitting; a cache passed in by the bootstrap
+#: is run-scoped and never reset.
+OWNED_CACHE_SENTENCES = 20_000
+
 
 class CrfTagger:
     """Linear-chain CRF sequence tagger (crfsuite-equivalent).
@@ -37,11 +46,12 @@ class CrfTagger:
         feature_cache: optional shared :class:`FeatureCache` (the
             bootstrap loop passes one per run so iterations 2+ reuse
             iteration 1's extraction work). A private cache is created
-            when omitted; ``False`` disables caching entirely and runs
-            the reference string-feature path (re-extracting on every
-            call — the benchmark's "uncached" mode). A supplied cache
-            must match the configured feature window. Every choice is
-            output-identical; only wall-clock differs.
+            when omitted, and replaced by a fresh one once it holds
+            more than :data:`OWNED_CACHE_SENTENCES` sentences;
+            ``False`` disables caching entirely and runs the reference
+            string-feature path (re-extracting on every call). A
+            supplied cache must match the configured feature window.
+            Every choice is output-identical; only wall-clock differs.
     """
 
     def __init__(
@@ -50,6 +60,7 @@ class CrfTagger:
         feature_cache: FeatureCache | bool | None = None,
     ):
         self.config = config or CrfConfig()
+        self._owns_cache = feature_cache is None
         if feature_cache is False:
             self._cache: FeatureCache | None = None
             self._extractor = FeatureExtractor(window=self.config.window)
@@ -253,6 +264,15 @@ class CrfTagger:
                 [self._extractor.extract(s) for s in sentences]
             )
         else:
+            if (
+                self._owns_cache
+                and self._cache.stats()["entries"] > OWNED_CACHE_SENTENCES
+            ):
+                # Bound a long-lived tagger's memo: start over from a
+                # fresh cache whose interner holds only the trained
+                # features, so the design matrix is unchanged.
+                self._cache = FeatureCache(extractor=self._extractor)
+                self._indexer.attach_interner(self._cache.interner)
             feature_rows = self._cache.rows_for(sentences)
             design = self._indexer.design_matrix_interned(feature_rows)
         scores_flat = design @ self._unary

@@ -295,100 +295,6 @@ def _objective(
     return nll, grad
 
 
-def _minimize_lbfgs_direct(
-    x0: np.ndarray,
-    workspace: _Workspace,
-    l1: float,
-    l2: float,
-    maxiter: int,
-    maxcor: int,
-):
-    """Drive the L-BFGS-B Fortran core (``setulb``) directly.
-
-    ``scipy.optimize.minimize`` spends a measurable fraction of every
-    evaluation in Python bookkeeping (ScalarFunction construction,
-    memoized fun/grad plumbing, per-call array revalidation) — real
-    money here because the bucketed objective itself is ~2ms. This
-    replays the exact unbounded, jac=True call sequence scipy's
-    ``_minimize_lbfgsb`` makes into ``setulb``, so the iterates, the
-    stopping decisions and the final weights are identical to the
-    public API; only the per-eval Python overhead is gone.
-
-    Returns None when the private interface does not match this scipy
-    version (the caller then falls back to ``optimize.minimize``).
-    """
-    try:
-        from scipy.optimize import _lbfgsb
-        from scipy.optimize._lbfgsb_py import (
-            status_messages,
-            task_messages,
-        )
-    except ImportError:  # pragma: no cover - scipy layout drift
-        return None
-    n = x0.shape[0]
-    m = maxcor
-    # scipy's defaults: ftol=2.220446049250313e-09 (factr=1e7), the
-    # same pgtol/maxls _minimize_lbfgsb uses.
-    factr = 2.2204460492503131e-09 / np.finfo(float).eps
-    pgtol = 1e-5
-    maxls = 20
-    maxfun = 15000
-    nbd = np.zeros(n, dtype=np.int32)
-    low_bnd = np.zeros(n, dtype=np.float64)
-    upper_bnd = np.zeros(n, dtype=np.float64)
-    x = np.array(x0, dtype=np.float64)
-    f = np.array(0.0, dtype=np.float64)
-    g = np.zeros(n, dtype=np.float64)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task = np.zeros(2, dtype=np.int32)
-    ln_task = np.zeros(2, dtype=np.int32)
-    lsave = np.zeros(4, dtype=np.int32)
-    isave = np.zeros(44, dtype=np.int32)
-    dsave = np.zeros(29, dtype=np.float64)
-    nfev = 0
-    n_iterations = 0
-    while True:
-        # Fresh copy each round, exactly as scipy's loop does — the
-        # objective hands back a reused gradient buffer.
-        g = g.astype(np.float64)
-        try:
-            _lbfgsb.setulb(
-                m, x, low_bnd, upper_bnd, nbd, f, g, factr, pgtol,
-                wa, iwa, task, lsave, isave, dsave, maxls, ln_task,
-            )
-        except (TypeError, ValueError):  # pragma: no cover - API drift
-            return None
-        if task[0] == 3:  # FG: wants f and g at the current x
-            f, g = _objective(x, workspace, l1, l2)
-            nfev += 1
-        elif task[0] == 1:  # NEW_X: one iteration completed
-            n_iterations += 1
-            if n_iterations >= maxiter:
-                task[0] = 5
-                task[1] = 504
-            elif nfev > maxfun:
-                task[0] = 5
-                task[1] = 502
-        else:
-            break
-    if task[0] == 4:  # CONVERGENCE
-        warnflag = 0
-    elif nfev > maxfun or n_iterations >= maxiter:
-        warnflag = 1
-    else:
-        warnflag = 2
-    message = (
-        status_messages.get(int(task[0]), "UNKNOWN")
-        + ": "
-        + task_messages.get(int(task[1]), "")
-    )
-    return optimize.OptimizeResult(
-        fun=float(f), nfev=nfev, nit=n_iterations, status=warnflag,
-        message=message, x=x, success=(warnflag == 0),
-    )
-
-
 def train_crf(
     problem: CrfProblem,
     l1: float,
@@ -424,21 +330,14 @@ def train_crf(
     """
     workspace = _Workspace(problem, batch_size=batch_size)
     start = np.zeros(workspace.n_params, dtype=np.float64)
-    result = _minimize_lbfgs_direct(
-        start, workspace, l1, l2, max_iterations, _LBFGS_HISTORY
+    result = optimize.minimize(
+        _objective,
+        start,
+        args=(workspace, l1, l2),
+        method="L-BFGS-B",
+        jac=True,
+        options={"maxiter": max_iterations, "maxcor": _LBFGS_HISTORY},
     )
-    if result is None:  # private scipy interface didn't match
-        result = optimize.minimize(
-            _objective,
-            start,
-            args=(workspace, l1, l2),
-            method="L-BFGS-B",
-            jac=True,
-            options={
-                "maxiter": max_iterations,
-                "maxcor": _LBFGS_HISTORY,
-            },
-        )
     if not result.success:
         message = str(result.message).upper()
         if "ITERATIONS" in message:

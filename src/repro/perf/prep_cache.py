@@ -32,8 +32,9 @@ Bit-identity contract: a cache hit replays the exact per-page outcomes
 the worker returned when the shard was first prepped, and the parent's
 sequential merge (global dedup, ledger order, strict escalation) runs
 unchanged on top — so results are bit-identical to an uncached run for
-any shard size, worker count and cache on/off combination. Runs with
-page-corruption fault specs bypass the cache entirely in both
+any shard size, worker count and cache state (cold or warm). The cache
+has no off switch: the only runs it does not serve are those with
+page-corruption fault specs, which bypass it entirely in both
 directions (corrupted prep must never be recorded as clean, nor masked
 by a clean hit).
 """

@@ -325,6 +325,20 @@ class CheckpointStore:
             else:
                 handle.write(text.encode("utf-8"))
 
+    def _write_sealed(self, name: str, body: dict) -> None:
+        """Write ``body`` with its format version and SHA-256 checksum.
+
+        The one snapshot codec: :meth:`_open_sealed` reads it back.
+        """
+        self._write_json(
+            name,
+            dict(
+                body,
+                format_version=_FORMAT_VERSION,
+                checksum=_checksum(body),
+            ),
+        )
+
     def begin(
         self, fingerprint: str, digest: str, iterations: int
     ) -> None:
@@ -361,18 +375,13 @@ class CheckpointStore:
         self, result: "IterationResult", dataset: Sequence[TaggedSentence]
     ) -> None:
         """Snapshot one completed iteration and its folded dataset."""
-        body = {
-            "iteration": result.iteration,
-            "result": _result_to_json(result),
-            "dataset": [_tagged_to_json(tagged) for tagged in dataset],
-        }
-        payload = dict(
-            body,
-            format_version=_FORMAT_VERSION,
-            checksum=_checksum(body),
-        )
-        self._write_json(
-            f"iteration_{result.iteration:04d}.json.gz", payload
+        self._write_sealed(
+            f"iteration_{result.iteration:04d}.json.gz",
+            {
+                "iteration": result.iteration,
+                "result": _result_to_json(result),
+                "dataset": [_tagged_to_json(tagged) for tagged in dataset],
+            },
         )
 
     def record_quarantine(self, entries: list[dict]) -> None:
@@ -446,19 +455,14 @@ class CheckpointStore:
         pure function of those), ``sentence_count`` the full number of
         unlabeled sentences the shard tagged.
         """
-        body = {
-            "iteration": iteration,
-            "shard": shard,
-            "sentence_count": sentence_count,
-            "tagged": [_tagged_to_json(item) for item in tagged],
-        }
-        payload = dict(
-            body,
-            format_version=_FORMAT_VERSION,
-            checksum=_checksum(body),
-        )
-        self._write_json(
-            f"shard_tag_{iteration:04d}_{shard:04d}.json.gz", payload
+        self._write_sealed(
+            f"shard_tag_{iteration:04d}_{shard:04d}.json.gz",
+            {
+                "iteration": iteration,
+                "shard": shard,
+                "sentence_count": sentence_count,
+                "tagged": [_tagged_to_json(item) for item in tagged],
+            },
         )
 
     def load_shard_tags(
@@ -478,23 +482,9 @@ class CheckpointStore:
         )
         if not path.exists():
             return None
-        payload = self._load_json(path)
-        try:
-            body = {
-                "iteration": payload["iteration"],
-                "shard": payload["shard"],
-                "sentence_count": payload["sentence_count"],
-                "tagged": payload["tagged"],
-            }
-            stored = payload["checksum"]
-        except KeyError as error:
-            raise CheckpointError(
-                f"corrupt checkpoint file {path}: missing {error}"
-            ) from error
-        if _checksum(body) != stored:
-            raise CheckpointError(
-                f"corrupt checkpoint file {path}: checksum mismatch"
-            )
+        body = self._open_sealed(
+            path, ("iteration", "shard", "sentence_count", "tagged")
+        )
         if (body["iteration"], body["shard"]) != (iteration, shard):
             raise CheckpointError(
                 f"checkpoint file {path.name} holds iteration "
@@ -596,14 +586,17 @@ class CheckpointStore:
                 "changed); pass resume=False to restart"
             )
 
-    def _load_snapshot(self, path: pathlib.Path) -> dict:
+    def _open_sealed(
+        self, path: pathlib.Path, keys: tuple[str, ...]
+    ) -> dict:
+        """The checksum-verified body of a :meth:`_write_sealed` file.
+
+        A missing key or a checksum that does not match the body's
+        raises :class:`CheckpointError`.
+        """
         payload = self._load_json(path)
         try:
-            body = {
-                "iteration": payload["iteration"],
-                "result": payload["result"],
-                "dataset": payload["dataset"],
-            }
+            body = {key: payload[key] for key in keys}
             stored = payload["checksum"]
         except KeyError as error:
             raise CheckpointError(
@@ -629,7 +622,9 @@ class CheckpointStore:
         results = []
         last_body: dict | None = None
         for expected, path in enumerate(paths, start=1):
-            body = self._load_snapshot(path)
+            body = self._open_sealed(
+                path, ("iteration", "result", "dataset")
+            )
             if body["iteration"] != expected:
                 raise CheckpointError(
                     f"checkpoint at {self.directory} is missing "

@@ -112,21 +112,24 @@ def test_missing_command_rejected():
 
 
 def test_run_command_writes_bench_counters(capsys, tmp_path):
-    bench_path = tmp_path / "bench.json"
+    """The ``--trace`` file carries the run's perf counters."""
+    from repro.runtime import PipelineTrace
+
+    trace_path = tmp_path / "trace.json"
     code = main(
         [
             "run", "--category", "tennis", "--products", "40",
             "--iterations", "1",
-            "--bench-out", str(bench_path),
+            "--trace", str(trace_path),
         ]
     )
     assert code == 0
     import json
 
-    payload = json.loads(bench_path.read_text())
-    counters = payload["tennis"]
-    assert counters["feature_cache"]["hits"] > 0
-    assert "tagger_train" in counters["stage_seconds"]
+    payload = json.loads(trace_path.read_text())
+    trace = PipelineTrace.from_dict(payload)
+    assert trace.counter_totals("feature_cache")["hits"] > 0
+    assert "tagger_train" in payload["stage_totals"]
 
 
 def test_run_command_streamed(capsys, tmp_path):
@@ -175,7 +178,7 @@ def test_run_command_stream_accepts_dirt(capsys):
     assert "containment:" in out
 
 
-@pytest.mark.parametrize("option", ["--trace", "--bench-out"])
+@pytest.mark.parametrize("option", ["--trace"])
 @pytest.mark.parametrize(
     "mode",
     [

@@ -1,10 +1,9 @@
 """Tests for the bucketed trainer rebuild.
 
-Covers the three determinism-critical guarantees of the packed
-E-step pipeline — objective/gradient bit-identity for any bucket
-partition, trained-weight bit-identity for any bucket partition, and
-the direct ``setulb`` driver matching ``scipy.optimize.minimize`` —
-plus the degraded-line-search handling.
+Covers the two determinism-critical guarantees of the packed E-step
+pipeline — objective/gradient bit-identity for any bucket partition
+and trained-weight bit-identity for any bucket partition — plus the
+handling of the optimizer's non-success results.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.ml.crf.train import (
     CrfProblem,
     _LBFGS_HISTORY,
     _Workspace,
-    _minimize_lbfgs_direct,
     _objective,
     train_crf,
 )
@@ -83,27 +81,24 @@ def test_trained_weights_bit_identical_across_buckets(mix):
     assert np.array_equal(trans, trans_mono)
 
 
-def test_direct_lbfgs_driver_matches_scipy_minimize():
-    from scipy import optimize
+def test_train_crf_makes_one_lbfgsb_call(monkeypatch):
+    """One optimizer call: scipy's public L-BFGS-B, crfsuite's m=6."""
+    real = train_mod.optimize.minimize
+    calls = []
 
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod.optimize, "minimize", spy)
     problem = _problem_from_lengths([3, 5, 2, 4, 1, 5], seed=4)
-    workspace = _Workspace(problem)
-    start = np.zeros(workspace.n_params)
-    direct = _minimize_lbfgs_direct(
-        start, workspace, 0.05, 0.05, 30, _LBFGS_HISTORY
-    )
-    assert direct is not None
-    reference = optimize.minimize(
-        _objective,
-        np.zeros(workspace.n_params),
-        args=(workspace, 0.05, 0.05),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": 30, "maxcor": _LBFGS_HISTORY},
-    )
-    assert np.array_equal(direct.x, reference.x)
-    assert direct.nfev == reference.nfev
-    assert direct.nit == reference.nit
+    train_crf(problem, 0.05, 0.05, 30)
+    assert len(calls) == 1
+    assert calls[0]["method"] == "L-BFGS-B"
+    assert calls[0]["jac"] is True
+    assert calls[0]["options"] == {
+        "maxiter": 30, "maxcor": _LBFGS_HISTORY,
+    }
 
 
 class _FakeResult:
@@ -116,8 +111,8 @@ class _FakeResult:
 def test_lnsrch_abort_degrades_to_warning(monkeypatch):
     problem = _problem_from_lengths([2, 3], seed=5, labels=1, features=3)
     monkeypatch.setattr(
-        train_mod,
-        "_minimize_lbfgs_direct",
+        train_mod.optimize,
+        "minimize",
         lambda *a, **k: _FakeResult("ABNORMAL_TERMINATION_IN_LNSRCH"),
     )
     diagnostics = {}
@@ -134,8 +129,8 @@ def test_lnsrch_abort_degrades_to_warning(monkeypatch):
 def test_fatal_optimizer_failure_still_raises(monkeypatch):
     problem = _problem_from_lengths([2, 3], seed=5, labels=1, features=3)
     monkeypatch.setattr(
-        train_mod,
-        "_minimize_lbfgs_direct",
+        train_mod.optimize,
+        "minimize",
         lambda *a, **k: _FakeResult("ROUNDING ERRORS PREVENT PROGRESS"),
     )
     with pytest.raises(TrainingError):
@@ -145,8 +140,8 @@ def test_fatal_optimizer_failure_still_raises(monkeypatch):
 def test_iteration_cap_is_not_a_failure(monkeypatch):
     problem = _problem_from_lengths([2, 3], seed=5, labels=1, features=3)
     monkeypatch.setattr(
-        train_mod,
-        "_minimize_lbfgs_direct",
+        train_mod.optimize,
+        "minimize",
         lambda *a, **k: _FakeResult(
             "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
         ),

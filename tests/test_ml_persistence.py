@@ -59,6 +59,64 @@ class TestCrfPersistence:
         assert loaded.labels == original.labels
         assert loaded.feature_count == original.feature_count
 
+    def test_loaded_tagger_cache_stays_bounded(
+        self, training_data, tmp_path, monkeypatch
+    ):
+        """A serving tagger's own feature cache starts over past the
+        bound instead of memoizing every sentence it ever tags, and the
+        labels stay those of an unbounded tagger."""
+        from repro.ml.crf import model as crf_model
+        from repro.perf.cache import FeatureCache
+
+        # The reference is handed its cache, so it is never reset.
+        unbounded = CrfTagger(
+            CrfConfig(max_iterations=30),
+            feature_cache=FeatureCache(window=CrfConfig().window),
+        ).train(training_data)
+        save_crf(unbounded, tmp_path / "crf")
+        monkeypatch.setattr(
+            crf_model, "OWNED_CACHE_SENTENCES", 50, raising=False
+        )
+        bounded = load_crf(tmp_path / "crf")
+        ja = get_locale("ja")
+        rng = random.Random(3)
+        words = ["iro", "wa", "aka", "ao", "shiro", "kuro", "desu", "kg"]
+        batch = 10
+        for call in range(60):
+            requests = [
+                Sentence(
+                    f"q{call}-{item}",
+                    0,
+                    ja.tokens(
+                        " ".join(rng.choice(words) for _ in range(6))
+                        + f" {call * batch + item}"
+                    ),
+                )
+                for item in range(batch)
+            ]
+            assert bounded.tag(requests) == unbounded.tag(requests)
+            assert bounded._cache.stats()["entries"] <= 50 + batch
+        grown = unbounded._cache.stats()
+        kept = bounded._cache.stats()
+        assert grown["entries"] > 60 * batch
+        assert kept["features"] < grown["features"] / 3
+
+    def test_passed_in_cache_is_never_reset(
+        self, training_data, sentences, monkeypatch
+    ):
+        from repro.ml.crf import model as crf_model
+        from repro.perf.cache import FeatureCache
+
+        monkeypatch.setattr(crf_model, "OWNED_CACHE_SENTENCES", 1)
+        cache = FeatureCache(window=CrfConfig().window)
+        tagger = CrfTagger(
+            CrfConfig(max_iterations=30), feature_cache=cache
+        ).train(training_data)
+        tagger.tag(sentences)
+        tagger.tag(sentences)
+        assert tagger._cache is cache
+        assert cache.hits >= len(sentences)
+
     def test_save_unfitted_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
             save_crf(CrfTagger(), tmp_path / "crf")

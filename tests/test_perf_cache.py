@@ -9,6 +9,7 @@ import pytest
 
 from repro import PAEPipeline, PipelineConfig
 from repro.config import CrfConfig
+from repro.core import bootstrap as core_bootstrap
 from repro.corpus import Marketplace
 from repro.ml import CrfTagger, FeatureExtractor, FeatureIndexer
 from repro.ml.crf import model as crf_model
@@ -206,17 +207,25 @@ def test_pipeline_bit_identical_with_and_without_fast_paths(
 ):
     """Cache + bucketing change wall-clock, never the output."""
     dataset = Marketplace(seed=seed).generate("vacuum_cleaner", 30)
-    fast = PAEPipeline(
-        PipelineConfig(iterations=2, seed=seed)
-    ).run(dataset.product_pages, dataset.query_log)
-    # The plain run tags and trains in one monolithic batch each.
+    config = PipelineConfig(iterations=2, seed=seed)
+    fast = PAEPipeline(config).run(
+        dataset.product_pages, dataset.query_log
+    )
+    # The plain run tags and trains in one monolithic batch each, on
+    # the reference string-feature path: every tagger the bootstrap
+    # builds ignores the run's feature cache.
     monkeypatch.setattr(crf_model, "TAG_BATCH_SIZE", 10**9)
     monkeypatch.setattr(crf_train, "DEFAULT_TRAIN_BATCH", 10**9)
-    plain = PAEPipeline(
-        PipelineConfig(
-            iterations=2, seed=seed, enable_feature_cache=False
-        )
-    ).run(dataset.product_pages, dataset.query_log)
+    monkeypatch.setattr(
+        core_bootstrap,
+        "make_tagger",
+        lambda config, iteration, feature_cache: CrfTagger(
+            config.crf, feature_cache=False
+        ),
+    )
+    plain = PAEPipeline(config).run(
+        dataset.product_pages, dataset.query_log
+    )
     assert _triples(fast) == _triples(plain)
     counters = fast.perf_counters()["feature_cache"]
     assert counters["hits"] > 0

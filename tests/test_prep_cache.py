@@ -1,7 +1,7 @@
 """Cross-run shard-prep artifact cache (:mod:`repro.perf.prep_cache`).
 
 The contract under test: cached streamed runs are bit-identical to
-uncached ones (cache on, off, warm, tampered, bypassed), the disk tier
+uncached ones (cache cold, warm, tampered, bypassed), the disk tier
 self-validates via its checksummed sidecars, and page-corrupting fault
 plans never touch the cache in either direction.
 """
@@ -180,18 +180,27 @@ def test_warm_run_hits_every_shard_and_matches_cold(vacuum, tmp_path):
     _assert_same_output(warm, cold)
 
 
-def test_cache_disabled_matches_cached_run(vacuum, tmp_path):
+def test_cached_run_matches_cold_run_in_fresh_cache_dir(vacuum, tmp_path):
+    """A run served from the cache equals one that prepped every shard
+    into a directory no other run has touched."""
     source = _source(vacuum)
-    cached = PAEPipeline(CONFIG).run_streamed(
-        source, vacuum.query_log, cache_dir=str(tmp_path)
+    pipeline = PAEPipeline(CONFIG)
+    pipeline.run_streamed(
+        source, vacuum.query_log, cache_dir=str(tmp_path / "shared")
     )
-    uncached = PAEPipeline(
-        PipelineConfig(iterations=1, enable_prep_cache=False)
-    ).run_streamed(source, vacuum.query_log)
-    assert uncached.perf_counters()["prep_cache"] == {
-        "hits": 0, "misses": 0,
+    cached = pipeline.run_streamed(
+        source, vacuum.query_log, cache_dir=str(tmp_path / "shared")
+    )
+    assert cached.perf_counters()["prep_cache"] == {
+        "hits": source.shard_count, "misses": 0,
     }
-    _assert_same_output(uncached, cached)
+    cold = pipeline.run_streamed(
+        source, vacuum.query_log, cache_dir=str(tmp_path / "fresh")
+    )
+    assert cold.perf_counters()["prep_cache"] == {
+        "hits": 0, "misses": source.shard_count,
+    }
+    _assert_same_output(cold, cached)
 
 
 def test_memory_tier_serves_repeat_run_in_process(vacuum):
@@ -293,9 +302,12 @@ def test_page_faults_bypass_cache_in_both_directions(vacuum, tmp_path):
     clean = PAEPipeline(CONFIG).run_streamed(
         source, vacuum.query_log, cache_dir=str(tmp_path)
     )
-    reference = PAEPipeline(
-        PipelineConfig(iterations=1, enable_prep_cache=False)
-    ).run_streamed(source, vacuum.query_log)
+    reference = PAEPipeline(CONFIG).run_streamed(
+        source, vacuum.query_log, cache_dir=str(tmp_path / "fresh")
+    )
+    assert reference.perf_counters()["prep_cache"] == {
+        "hits": 0, "misses": source.shard_count,
+    }
     _assert_same_output(clean, reference)
 
 

@@ -55,7 +55,7 @@ GOLDEN_ITERATIONS_DIGEST = (
     "049a8f4e9f6b6a381aa921826a4e6efbcfa73a7a54bdb77936865520c25d976e"
 )
 
-#: Child-process body: one shard layout under three prep-cache states.
+#: Child-process body: one shard layout under both prep-cache states.
 _MATRIX_CHILD = """
 import dataclasses, hashlib, json, sys, tempfile
 from repro import PAEPipeline, PipelineConfig
@@ -103,9 +103,6 @@ with tempfile.TemporaryDirectory() as cache_dir:
         out[state] = record(PAEPipeline(config).run_streamed(
             source, vacuum.query_log, cache_dir=cache_dir
         ))
-out["off"] = record(PAEPipeline(
-    dataclasses.replace(config, enable_prep_cache=False)
-).run_streamed(source, vacuum.query_log))
 print(json.dumps(out))
 """
 
@@ -154,13 +151,12 @@ def test_bit_identical_across_shard_and_worker_combos(shard_size, workers):
     out = json.loads(completed.stdout.splitlines()[-1])
     shards = out["shards"]
     assert shards == -(-PAGES // shard_size)
-    for state in ("cold", "warm", "off"):
+    for state in ("cold", "warm"):
         assert out[state]["digest"] == GOLDEN_DIGEST, state
         assert out[state]["seed"] == GOLDEN_SEED_DIGEST, state
         assert out[state]["iterations"] == GOLDEN_ITERATIONS_DIGEST, state
     assert out["cold"]["prep_cache"] == {"hits": 0, "misses": shards}
     assert out["warm"]["prep_cache"] == {"hits": shards, "misses": 0}
-    assert out["off"]["prep_cache"] == {"hits": 0, "misses": 0}
 
 
 def test_run_is_the_one_shard_streamed_run(vacuum, one_shard):
@@ -188,7 +184,7 @@ def test_bit_identical_without_semantic_cleaning(vacuum):
 
 
 def test_merge_survives_shuffled_completion_order(
-    vacuum, one_shard, monkeypatch
+    vacuum, one_shard, monkeypatch, tmp_path
 ):
     """Shard results arriving in any order must merge identically.
 
@@ -209,9 +205,15 @@ def test_merge_survives_shuffled_completion_order(
         return dict(items), failures, report
 
     monkeypatch.setattr(ShardWorkerPool, "run", shuffled)
-    config = replace(CONFIG, enable_prep_cache=False)
     source = MaterializedPageSource(vacuum.product_pages, shard_size=6)
-    streamed = PAEPipeline(config).run_streamed(source, vacuum.query_log)
+    # A fresh cache directory: every shard is prepped, so the prep
+    # wave goes through the shuffled pool too.
+    streamed = PAEPipeline(CONFIG).run_streamed(
+        source, vacuum.query_log, cache_dir=str(tmp_path)
+    )
+    assert streamed.perf_counters()["prep_cache"] == {
+        "hits": 0, "misses": source.shard_count,
+    }
     _assert_identical(streamed, one_shard)
 
 
