@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy one-prep-path verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -78,12 +78,21 @@ PRIVATE_SCIPY_RE = (from|import) scipy[a-z_.]*\._|from scipy[a-z_.]* import _
 no-private-scipy:
 	@git grep -nE "$(PRIVATE_SCIPY_RE)" -- src; test $$? -eq 1
 
+# Shard prep has one path: the ingest gate always runs, prep artifacts
+# live only in the on-disk prep cache, and the deleted gate bypass,
+# memory tier, breaker switch and stage-retry option stay deleted.
+# Passes only when `git grep` finds nothing (exit 1); a match or a git
+# error fails.
+ONE_PREP_PATH_RE = MemoryPrepCache|memory_prep_cache|ingest\.enabled|enable_circuit_breaker|stage_retries
+one-prep-path:
+	@git grep -nE "$(ONE_PREP_PATH_RE)" -- src; test $$? -eq 1
+
 # Tier-1 suite (which holds the shard-layout bit-identity matrix and
 # the published-numbers drift check) plus the serve chaos acceptance,
 # the environment-fault acceptance, the benchmark's smoke tests, the
 # full-size paper_warm digest, the retired-harness guard, the
-# one-fan-out guard and the private-scipy guard: the quick pre-merge
-# gate.
+# one-fan-out guard, the private-scipy guard and the one-prep-path
+# guard: the quick pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -93,6 +102,7 @@ verify:
 	$(MAKE) no-legacy-bench
 	$(MAKE) one-fanout
 	$(MAKE) no-private-scipy
+	$(MAKE) one-prep-path
 
 examples:
 	python examples/quickstart.py

@@ -135,7 +135,6 @@ class IngestConfig:
 
     Attributes:
         policy: one of :data:`INGEST_POLICIES`.
-        enabled: False bypasses the gate entirely (measurement only).
         max_page_bytes: UTF-8 size above which a page is a "megapage"
             and unconditionally quarantined.
         max_dom_depth: maximum open-element nesting the parser accepts.
@@ -151,7 +150,6 @@ class IngestConfig:
     """
 
     policy: str = "repair"
-    enabled: bool = True
     max_page_bytes: int = 1_000_000
     max_dom_depth: int = 100
     max_table_rows: int = 500
@@ -271,8 +269,11 @@ class HealthConfig:
     pathological, halts the loop with the *last healthy* iteration's
     results instead of folding the bad cycle into the dataset.
 
+    The thresholds are also the off switch: ``max_rejection_rate=1.0``
+    can never be exceeded and ``yield_collapse_ratio=0.0`` can never
+    trip.
+
     Attributes:
-        enable_circuit_breaker: False disables the guardrail.
         max_rejection_rate: trip when the cleaning stages reject more
             than this share of an iteration's candidate extractions
             (semantic-drift explosion). Lax by default — healthy runs
@@ -286,7 +287,6 @@ class HealthConfig:
             iteration to have produced at least this many candidates.
     """
 
-    enable_circuit_breaker: bool = True
     max_rejection_rate: float = 0.95
     min_rejection_sample: int = 20
     yield_collapse_ratio: float = 0.02
@@ -373,11 +373,6 @@ class PipelineConfig:
             meaningful with ``tagger="crf"``). A principled version of
             the candidate-scoring idea the paper cites against drift.
         seed: RNG seed for every stochastic component.
-        stage_retries: extra attempts per failed pipeline stage before
-            the failure escalates (optional cleaning stages degrade to
-            a counted skip instead). Stage bodies are pure functions of
-            their inputs, so retries cannot change a successful run's
-            output.
     """
 
     iterations: int = 5
@@ -388,7 +383,6 @@ class PipelineConfig:
     enable_diversification: bool = True
     min_confidence: float = 0.0
     seed: int = 7
-    stage_retries: int = 1
     #: Cap on seed-labelled sentences kept in the training dataset
     #: (first N in corpus order; None = unbounded). At paper scale the
     #: folded dataset is the last unbounded per-iteration structure —
@@ -425,8 +419,6 @@ class PipelineConfig:
             )
         if not 0.0 <= self.min_confidence < 1.0:
             raise ConfigError("min_confidence must be in [0, 1)")
-        if self.stage_retries < 0:
-            raise ConfigError("stage_retries must be >= 0")
         if (
             self.max_labeled_sentences is not None
             and self.max_labeled_sentences < 1

@@ -16,7 +16,7 @@ executes inline. Output is bit-identical for any shard size, worker
 count and prep-cache state.
 
 Resilience: every stage body runs through :meth:`Bootstrapper._stage`,
-which retries a failed stage up to ``config.stage_retries`` times
+which retries a failed stage up to :data:`STAGE_RETRIES` times
 (stage bodies are pure functions of their inputs, so a retry of a
 transient fault reproduces the uninterrupted output bit-identically)
 and records ``stage_retry`` / ``fault_injected`` counter events on the
@@ -72,6 +72,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runtime.faults import FaultPlan
     from ..runtime.pool import ShardWorkerPool
 
+#: Extra attempts a failed stage gets before the failure escalates
+#: (optional cleaning stages then degrade to a counted skip). Stage
+#: bodies are pure functions of their inputs, so a retry cannot change
+#: a successful run's output.
+STAGE_RETRIES = 1
+
 
 @dataclass(frozen=True)
 class IterationResult:
@@ -122,8 +128,8 @@ class BootstrapResult:
             statements plus seed-tagged text), i.e. "iteration 0".
         iterations: one record per cycle, in order.
         attributes: canonical attribute names the run tagged.
-        quarantine: the ingest gate's containment ledger (None when
-            the gate was disabled and nothing was quarantined).
+        quarantine: the ingest gate's containment ledger (empty for a
+            clean corpus).
         halted_reason: why the iteration-health circuit breaker
             stopped the run early (``"rejection_rate"`` or
             ``"yield_collapse"``), or None for a run that completed.
@@ -135,7 +141,7 @@ class BootstrapResult:
     seed_triples: frozenset[Triple]
     iterations: tuple[IterationResult, ...]
     attributes: tuple[str, ...]
-    quarantine: Quarantine | None = None
+    quarantine: Quarantine
     halted_reason: str | None = None
     halted_at_iteration: int | None = None
 
@@ -275,12 +281,11 @@ class Bootstrapper:
             faults: optional fault-injection plan; its hooks fire at
                 the top of every stage body, in pool workers and
                 inside shard prep.
-            cache_dir: directory for the shard cache files — with the
-                prep cache enabled this becomes a persistent prep
-                artifact root (a keyed subdirectory holds the files).
-                Defaults to ``<checkpoint>/prep_cache`` with a
-                checkpoint, or a self-cleaning temporary directory
-                (backed by the process-global memory tier) without one.
+            cache_dir: persistent prep-artifact root (a keyed
+                subdirectory holds the shard cache files). Defaults to
+                ``<checkpoint>/prep_cache`` with a checkpoint; without
+                either, or under a page-corrupting fault plan, shards
+                are prepped into a self-cleaning temporary directory.
         """
         from ..runtime.pool import ShardWorkerPool
 
@@ -392,7 +397,7 @@ class Bootstrapper:
                     "checkpoint_resume",
                     iterations=restored.completed_iterations,
                 )
-            if self.config.ingest.enabled and not self._checkpoint_disabled:
+            if not self._checkpoint_disabled:
                 # The gate is deterministic, so a resumed run must
                 # reproduce the stored ledger bit-for-bit; divergence
                 # raises instead of splicing two different corpora.
@@ -460,11 +465,7 @@ class Bootstrapper:
             seed_triples=seed_triples,
             iterations=tuple(iterations),
             attributes=attributes,
-            quarantine=(
-                prep.quarantine
-                if self.config.ingest.enabled or len(prep.quarantine)
-                else None
-            ),
+            quarantine=prep.quarantine,
             halted_reason=halted_reason,
             halted_at_iteration=halted_at,
         )
@@ -485,7 +486,7 @@ class Bootstrapper:
         injected failures show up in the trace like real ones. Stage
         bodies are pure functions of their inputs; a retry therefore
         reproduces exactly what an untroubled first attempt would have
-        produced. Failures beyond ``config.stage_retries`` propagate.
+        produced. Failures beyond :data:`STAGE_RETRIES` propagate.
         """
         attempt = 0
         while True:
@@ -498,7 +499,7 @@ class Bootstrapper:
             except Exception as error:  # noqa: BLE001 - retried or re-raised
                 if isinstance(error, FaultInjectionError):
                     trace.count("fault_injected", iteration, **{name: 1})
-                if attempt > self.config.stage_retries:
+                if attempt > STAGE_RETRIES:
                     raise
                 trace.count("stage_retry", iteration, **{name: 1})
 
@@ -543,8 +544,6 @@ class Bootstrapper:
           sample: the model has collapsed.
         """
         health = self.config.health
-        if not health.enable_circuit_breaker:
-            return None
         candidates = result.candidate_extractions
         kept = len(artifacts.kept_extractions)
         if candidates >= health.min_rejection_sample:
@@ -659,9 +658,7 @@ class Bootstrapper:
         page_faults = faults is not None and faults.has_page_faults()
         context = sharded.PrepContext(
             source=source,
-            ingest=(
-                self.config.ingest if self.config.ingest.enabled else None
-            ),
+            ingest=self.config.ingest,
             cache_dir=cache,
             faults=faults if page_faults else None,
         )
@@ -698,9 +695,7 @@ class Bootstrapper:
                     corrupted_pages += corrupted
             if corrupted_pages:
                 trace.count("pages_corrupted", pages=corrupted_pages)
-            if failures and self.config.ingest.enabled and (
-                self.config.ingest.policy == "strict"
-            ):
+            if failures and self.config.ingest.policy == "strict":
                 index, failure = min(failures.items())
                 raise PoisonedShardError(
                     "shard_prep", index, failure.attempts, failure.detail
@@ -998,10 +993,7 @@ class Bootstrapper:
             for index, spans, count in results.values():
                 shard_results[index] = (spans, count)
             for index, failure in sorted(failures.items()):
-                if (
-                    self.config.ingest.enabled
-                    and self.config.ingest.policy == "strict"
-                ):
+                if self.config.ingest.policy == "strict":
                     raise PoisonedShardError(
                         "shard_tag", index, failure.attempts, failure.detail
                     )

@@ -40,7 +40,7 @@ class PipelineResult:
 
     bootstrap: BootstrapResult
     product_count: int
-    trace: PipelineTrace | None = None
+    trace: PipelineTrace
 
     @property
     def triples(self) -> frozenset[Triple]:
@@ -73,13 +73,13 @@ class PipelineResult:
 
     @property
     def quarantine(self):
-        """The ingest gate's containment ledger (None when disabled)."""
+        """The ingest gate's containment ledger (empty on a clean corpus)."""
         return self.bootstrap.quarantine
 
     def resilience_counters(self) -> dict:
         """Per-stage fault/retry/skip counters observed during the run.
 
-        Returns a dict with eight keys: ``"faults"`` (injected faults
+        Returns a dict with fourteen keys: ``"faults"`` (injected faults
         per stage), ``"retries"`` (stage retries per stage),
         ``"skips"`` (optional stages degraded to a skip, per stage),
         ``"pages_corrupted"`` (pages mangled by a fault plan),
@@ -88,7 +88,8 @@ class PipelineResult:
         ``"circuit_breaker"`` (iteration-health trips per reason),
         ``"trainer_warnings"`` (non-fatal tagger-training degradations
         per kind, e.g. an L-BFGS line-search abort that kept
-        best-so-far weights), plus the environment-fault tallies:
+        best-so-far weights), ``"peak_rss_bytes"`` (the run-wide peak
+        RSS), plus the environment-fault tallies:
         ``"pool"`` (worker deaths/respawns/requeues/poisoned shards
         from the supervised shard pool), ``"memory_pressure"``
         (governor samples/events), ``"checkpoint_disabled"`` and
@@ -96,23 +97,6 @@ class PipelineResult:
         and ``"prep_cache_contended"`` (runs that fell back to a
         private scratch cache). All empty/zero for an untroubled run.
         """
-        if self.trace is None:
-            return {
-                "faults": {},
-                "retries": {},
-                "skips": {},
-                "pages_corrupted": 0,
-                "quarantined": {},
-                "repaired": {},
-                "circuit_breaker": {},
-                "trainer_warnings": {},
-                "peak_rss_bytes": 0,
-                "pool": {},
-                "memory_pressure": {},
-                "checkpoint_disabled": 0,
-                "prep_cache_disabled": 0,
-                "prep_cache_contended": 0,
-            }
         return {
             "faults": self.trace.counter_totals("fault_injected"),
             "retries": self.trace.counter_totals("stage_retry"),
@@ -152,17 +136,11 @@ class PipelineResult:
         Returns a dict with three keys: ``"feature_cache"`` — the
         cross-iteration feature cache's ``hits``/``misses`` (both zero
         when the backend has none) — ``"prep_cache"`` — shard-prep
-        artifact cache ``hits``/``misses`` in cached shards (both zero
-        when a page-corrupting fault plan bypassed the cache) — and
-        ``"stage_seconds"`` — cumulative wall-clock per pipeline stage
-        from the trace. Empty/zero without a trace.
+        artifact cache ``hits``/``misses`` (both zero when the run had
+        no prep root or a page-corrupting fault plan bypassed the
+        cache) — and ``"stage_seconds"`` — cumulative wall-clock per
+        pipeline stage from the trace.
         """
-        if self.trace is None:
-            return {
-                "feature_cache": {"hits": 0, "misses": 0},
-                "prep_cache": {"hits": 0, "misses": 0},
-                "stage_seconds": {},
-            }
         cache = self.trace.counter_totals("feature_cache")
         prep = self.trace.counter_totals("prep_cache")
         return {
@@ -307,11 +285,12 @@ class PAEPipeline:
                 ``final_triples`` to an uninterrupted run.
             resume: with ``checkpoint_dir``, False restarts.
             faults: optional fault plan; page-corruption hooks fire
-                inside shard prep with per-shard decisions (and disable
+                inside shard prep with per-shard decisions (and bypass
                 the prep cache for the run).
-            cache_dir: override for the shard cache directory; with
-                the prep cache enabled it doubles as a persistent
-                prep-artifact root reused by later runs.
+            cache_dir: persistent prep-artifact root reused by later
+                runs (default ``<checkpoint_dir>/prep_cache``; without
+                either, shards are prepped into a self-cleaning
+                temporary directory).
 
         Returns:
             A :class:`PipelineResult` whose ``product_count`` is the

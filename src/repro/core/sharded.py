@@ -40,13 +40,14 @@ before returning; a killed run re-fans only the shards with no
 snapshot.
 
 Prep caching: prep output is iteration-invariant and pure in the page
-bytes and gate/tokenizer config, so (unless bypassed because the fault
-plan corrupts pages) each shard's artifacts are kept across runs in
-:mod:`repro.perf.prep_cache` — checksummed gzip artifacts under
-``<checkpoint>/prep_cache`` (or an explicit ``cache_dir``), a bounded
-process-global memory tier otherwise (:func:`shard_cache`). A cache
-hit replays the exact recorded per-page outcomes through the same
-sequential merge, so cached runs stay bit-identical to uncached ones.
+bytes and gate/tokenizer config, so each shard's artifacts are kept
+across runs in :mod:`repro.perf.prep_cache` — checksummed gzip
+artifacts under an explicit ``cache_dir`` or ``<checkpoint>/prep_cache``.
+A run with neither root, a fault plan that corrupts pages, or a cache
+locked by another live run preps into a self-cleaning temporary
+directory instead (:func:`shard_cache`). A cache hit replays the exact
+recorded per-page outcomes through the same sequential merge, so
+cached runs stay bit-identical to uncached ones.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import gzip
 import json
 import os
 import pathlib
-import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -67,7 +67,6 @@ from ..ingest import IngestGate, Quarantine, QuarantineEntry
 from ..perf.prep_cache import (
     DiskPrepCache,
     PrepStore,
-    memory_prep_cache,
     prep_cache_key,
     prep_digest,
     shard_cache_path,
@@ -158,7 +157,7 @@ class PrepContext:
     """Everything a prep worker needs (pickled once per chunk)."""
 
     source: "PageSource"
-    ingest: IngestConfig | None
+    ingest: IngestConfig
     cache_dir: str
     faults: "FaultPlan | None" = None
 
@@ -222,7 +221,7 @@ def prep_shard(context: PrepContext, index: int):
     of each kept page is lexed and parsed exactly once: the
     gate's tree is reused for tokenization and candidate mining.
     """
-    gate = IngestGate(context.ingest) if context.ingest is not None else None
+    gate = IngestGate(context.ingest)
     seen_ids: set[str] = set()
     warnings: dict[str, int] = {}
     outcomes: list[tuple] = []
@@ -242,19 +241,14 @@ def prep_shard(context: PrepContext, index: int):
             if isinstance(record, QuarantineEntry):
                 outcomes.append(("row", record.to_dict()))
                 continue
-            page = record
-            repairs: list[str] = []
-            root = None
-            if gate is not None:
-                entry, kept, repairs, root = gate.gate_page_prepared(
-                    page, seen_ids, warnings
-                )
-                if entry is not None:
-                    outcomes.append(("q", entry.to_dict()))
-                    continue
-                assert kept is not None
-                seen_ids.add(kept.product_id)
-                page = kept
+            entry, page, repairs, root = gate.gate_page_prepared(
+                record, seen_ids, warnings
+            )
+            if entry is not None:
+                outcomes.append(("q", entry.to_dict()))
+                continue
+            assert page is not None
+            seen_ids.add(page.product_id)
             page_text = tokenize_page(page, root)
             candidates = _discover_page_candidates(page, root)
             outcomes.append(
@@ -403,33 +397,30 @@ def shard_cache(
 ) -> Iterator[tuple[str, PrepStore | None]]:
     """Open the run's shard-cache directory and prep-cache handle.
 
-    Yields ``(directory, prep_store)``. The directory is ``cache_dir``'s
-    keyed prep-artifact subdirectory, else ``<checkpoint>/prep_cache``'s
-    (both retained across runs), else a self-cleaning temporary
-    directory backed by the process-global memory tier. With the prep
-    cache bypassed, a checkpoint-owned ``shard_cache`` directory
-    is scaffolding — prep rebuilds it deterministically on resume — and
-    is removed on exit. ``prep_store`` is None when nothing is cached.
+    Yields ``(directory, prep_store)``, one of two ways:
+
+    * the prep root is ``cache_dir``, else ``<checkpoint>/prep_cache``
+      (both retained across runs). When there is one and its cache is
+      usable, the directory is the root's keyed
+      :class:`~repro.perf.prep_cache.DiskPrepCache` directory and
+      ``prep_store`` its handle;
+    * otherwise — no root, a page-corrupting fault plan, or a cache
+      locked by another live run — the directory is a self-cleaning
+      temporary directory and ``prep_store`` is None.
     """
-    # Page-corrupting fault plans poison prep output: never record it
-    # as clean, never mask it with a clean artifact.
-    use_cache = faults is None or not faults.has_page_faults()
-    digest = prep_digest(config.ingest if config.ingest.enabled else None)
-    fingerprint = source.fingerprint()
     root: pathlib.Path | None = None
     if cache_dir is not None:
         root = pathlib.Path(cache_dir)
     elif checkpoint is not None:
-        root = checkpoint.directory / (
-            "prep_cache" if use_cache else "shard_cache"
-        )
-    if root is not None:
-        root.mkdir(parents=True, exist_ok=True)
+        root = checkpoint.directory / "prep_cache"
+    # Page-corrupting fault plans poison prep output: never record it
+    # as clean, never mask it with a clean artifact.
+    if faults is not None and faults.has_page_faults():
+        root = None
     disk: DiskPrepCache | None = None
-    if root is not None and use_cache:
-        disk = DiskPrepCache(
-            root, prep_cache_key(fingerprint, digest), faults=faults
-        )
+    if root is not None:
+        key = prep_cache_key(source.fingerprint(), prep_digest(config.ingest))
+        disk = DiskPrepCache(root, key, faults=faults)
         if disk.contended:
             # Another live run holds this cache directory's advisory
             # lock. Sharing the keyed subdirectory would race its
@@ -438,37 +429,14 @@ def shard_cache(
             disk.close()
             disk = None
             trace.count("prep_cache_contended", runs=1)
-    prep_store: PrepStore | None = None
-    owned_tmp: tempfile.TemporaryDirectory | None = None
     if disk is not None:
-        cache = disk.directory
-        prep_store = PrepStore(
-            cache_dir=str(cache),
-            source_fingerprint=fingerprint,
-            digest=digest,
-            disk=disk,
-        )
-    elif root is not None and not use_cache:
-        cache = root
-    else:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="repro_shard_cache_")
-        cache = pathlib.Path(owned_tmp.name)
-        if use_cache and root is None:
-            prep_store = PrepStore(
-                cache_dir=str(cache),
-                source_fingerprint=fingerprint,
-                digest=digest,
-                memory=memory_prep_cache(),
-            )
-    try:
-        yield str(cache), prep_store
-    finally:
-        if disk is not None:
+        try:
+            yield str(disk.directory), PrepStore(disk)
+        finally:
             disk.close()
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
-        elif cache_dir is None and not use_cache:
-            shutil.rmtree(cache, ignore_errors=True)
+        return
+    with tempfile.TemporaryDirectory(prefix="repro_shard_cache_") as cache:
+        yield cache, None
 
 
 # -- the deterministic prep merge ----------------------------------------
@@ -534,8 +502,7 @@ def merge_prep(
     :class:`~repro.errors.PageQuarantinedError` on the first rejected
     page under the ``strict`` policy.
     """
-    dedup = ingest.enabled
-    strict = dedup and ingest.policy == "strict"
+    strict = ingest.policy == "strict"
     seen: set[str] = set()
     ledger = Quarantine()
     repaired: dict[str, int] = {}
@@ -560,11 +527,7 @@ def merge_prep(
                 continue
             if kind == "q":
                 entry = QuarantineEntry.from_dict(outcome[1])
-                if (
-                    dedup
-                    and entry.check != "page_bytes"
-                    and entry.page_id in seen
-                ):
+                if entry.check != "page_bytes" and entry.page_id in seen:
                     # The sequential gate checks duplicate_id before
                     # every check but page_bytes; a worker can't see
                     # ids kept by earlier shards.
@@ -576,7 +539,7 @@ def merge_prep(
                 ledger.add(entry)
                 continue
             _, pid, page_locale, repairs, page_cands = outcome
-            if dedup and pid in seen:
+            if pid in seen:
                 entry = _duplicate_entry(pid)
                 if strict:
                     raise PageQuarantinedError(

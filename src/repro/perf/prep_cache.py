@@ -12,21 +12,17 @@ tokenizer configuration, so it is keyed by::
 
 where the prep digest (:func:`prep_digest`) covers the
 :class:`~repro.config.IngestConfig`, the registered locale codes and a
-format version. Two tiers:
-
-* :class:`MemoryPrepCache` — a bounded process-global LRU holding each
-  shard's outcomes plus the raw cache-file lines. Serves small runs
-  (no checkpoint, no explicit cache dir): a second run over the same
-  source in the same process skips ``shard_prep`` entirely.
-* :class:`DiskPrepCache` — checksummed artifacts under
-  ``<root>/<key>/``: the shard's gzip-JSONL cache file (used directly
-  as the run's shard-cache directory) plus a ``.meta.json`` sidecar
-  carrying the replay outcomes, warnings and the SHA-256 of the gzip
-  bytes. Serves runs with a checkpoint (root
-  ``<checkpoint>/prep_cache``, deliberately *not* wiped by
-  ``CheckpointStore.begin``) or an explicit ``cache_dir``; a resumed —
-  or simply repeated — run reloads instead of re-prepping. A checksum
-  or format mismatch silently degrades to re-prepping that shard.
+format version. There is one tier, :class:`DiskPrepCache`: checksummed
+artifacts under ``<root>/<key>/`` — the shard's gzip-JSONL cache file
+(used directly as the run's shard-cache directory) plus a
+``.meta.json`` sidecar carrying the replay outcomes, warnings and the
+SHA-256 of the gzip bytes. It serves runs with a checkpoint (root
+``<checkpoint>/prep_cache``, deliberately *not* wiped by
+``CheckpointStore.begin``) or an explicit ``cache_dir``; a resumed —
+or simply repeated — run reloads instead of re-prepping. A checksum
+or format mismatch silently degrades to re-prepping that shard. A run
+with neither root preps into a self-cleaning temporary directory and
+caches nothing.
 
 Bit-identity contract: a cache hit replays the exact per-page outcomes
 the worker returned when the shard was first prepped, and the parent's
@@ -41,13 +37,11 @@ by a clean hit).
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
 import pathlib
 import shutil
-import threading
 from dataclasses import asdict, dataclass, field
 
 from ..config import IngestConfig
@@ -56,23 +50,18 @@ from ..config import IngestConfig
 #: change; part of the prep digest, so stale artifacts simply miss.
 PREP_FORMAT_VERSION = 1
 
-#: Default page budget for the process-global memory tier (~tens of MB
-#: of cached JSONL at typical page sizes).
-MEMORY_CACHE_MAX_PAGES = 20_000
 
-
-def prep_digest(ingest: IngestConfig | None) -> str:
+def prep_digest(ingest: IngestConfig) -> str:
     """Digest of everything (besides the pages) that shapes prep output.
 
     Args:
-        ingest: the gate configuration in effect, or None when the
-            gate is disabled (pass exactly what prep will use).
+        ingest: the gate configuration in effect.
     """
     from ..nlp.tokenizer import available_locales
 
     payload = {
         "format": PREP_FORMAT_VERSION,
-        "ingest": asdict(ingest) if ingest is not None else None,
+        "ingest": asdict(ingest),
         "locales": list(available_locales()),
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -109,79 +98,10 @@ class ShardPrep:
             needs.
         warnings: the worker's counted degradations
             (``parse_budget_soft``).
-        lines: raw cache-file lines (memory tier only; the disk tier
-            keeps the gzip file itself).
     """
 
     outcomes: list
     warnings: dict[str, int]
-    lines: list[str] | None = None
-
-
-class MemoryPrepCache:
-    """Process-global bounded LRU of shard prep artifacts.
-
-    Entries are charged by cached line (= kept page) count; inserting
-    past ``max_pages`` evicts least-recently-used entries. Thread-safe
-    (runs may prep from worker threads in embedders/tests).
-    """
-
-    def __init__(self, max_pages: int = MEMORY_CACHE_MAX_PAGES):
-        self.max_pages = max_pages
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[ShardPrep, int]] = {}
-        self._pages = 0
-
-    def get(self, key: tuple) -> ShardPrep | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            # Re-insert to mark most-recently-used.
-            del self._entries[key]
-            self._entries[key] = entry
-            return entry[0]
-
-    def put(self, key: tuple, prep: ShardPrep, cost: int) -> None:
-        with self._lock:
-            if cost > self.max_pages:
-                return
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._pages -= old[1]
-            self._entries[key] = (prep, cost)
-            self._pages += cost
-            while self._pages > self.max_pages and self._entries:
-                oldest = next(iter(self._entries))
-                _, old_cost = self._entries.pop(oldest)
-                self._pages -= old_cost
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._pages = 0
-
-    @property
-    def pages(self) -> int:
-        with self._lock:
-            return self._pages
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-_MEMORY_CACHE: MemoryPrepCache | None = None
-_MEMORY_CACHE_LOCK = threading.Lock()
-
-
-def memory_prep_cache() -> MemoryPrepCache:
-    """The process-global memory tier (created on first use)."""
-    global _MEMORY_CACHE
-    with _MEMORY_CACHE_LOCK:
-        if _MEMORY_CACHE is None:
-            _MEMORY_CACHE = MemoryPrepCache()
-        return _MEMORY_CACHE
 
 
 class DiskPrepCache:
@@ -316,19 +236,15 @@ class DiskPrepCache:
 
 @dataclass
 class PrepStore:
-    """One run's handle on the prep cache: exactly one tier is active.
+    """One run's handle on its :class:`DiskPrepCache`: hit/miss
+    counters plus the run's write-degradation state.
 
-    ``cache_dir`` is the run's live shard-cache directory. With a disk
-    tier that *is* the keyed artifact directory, so hits need no file
-    copy; with the memory tier, hits rewrite the cached lines into the
-    (temporary) cache dir so downstream shard iteration is unchanged.
+    The disk cache's keyed directory is the run's live shard-cache
+    directory, so a hit needs no file copy: the shard's gzip file is
+    already where every later stage reads it.
     """
 
-    cache_dir: str
-    source_fingerprint: str
-    digest: str
-    disk: DiskPrepCache | None = None
-    memory: MemoryPrepCache | None = None
+    disk: DiskPrepCache
     hits: int = field(default=0, init=False)
     misses: int = field(default=0, init=False)
     #: Set when a store hit a classified environment failure
@@ -337,37 +253,15 @@ class PrepStore:
     disabled: bool = field(default=False, init=False)
     write_failures: int = field(default=0, init=False)
 
-    def _memory_key(self, index: int) -> tuple:
-        return (self.source_fingerprint, self.digest, index)
-
     def load(self, index: int) -> tuple[list, dict[str, int]] | None:
         """Cached (outcomes, warnings) for a shard, with the cache file
-        guaranteed present in ``cache_dir``; None on a miss."""
-        if self.disk is not None:
-            prep = self.disk.load(index)
-            if prep is not None:
-                self.hits += 1
-                return prep.outcomes, prep.warnings
-        elif self.memory is not None:
-            prep = self.memory.get(self._memory_key(index))
-            if prep is not None and prep.lines is not None:
-                final = shard_cache_path(self.cache_dir, index)
-                temp = final.parent / f".{final.name}.tmp"
-                try:
-                    with gzip.open(
-                        temp, "wt", encoding="utf-8", compresslevel=1
-                    ) as handle:
-                        handle.writelines(prep.lines)
-                    os.replace(temp, final)
-                except OSError:
-                    # Could not materialize the cached lines (full
-                    # disk?): treat as a miss, the worker re-preps.
-                    self.misses += 1
-                    return None
-                self.hits += 1
-                return prep.outcomes, prep.warnings
-        self.misses += 1
-        return None
+        guaranteed present in the keyed directory; None on a miss."""
+        prep = self.disk.load(index)
+        if prep is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return prep.outcomes, prep.warnings
 
     def store(
         self, index: int, outcomes: list, warnings: dict[str, int]
@@ -381,25 +275,10 @@ class PrepStore:
         """
         if self.disabled:
             return
-        if self.disk is not None:
-            from ..errors import StorageError
+        from ..errors import StorageError
 
-            try:
-                self.disk.store(index, outcomes, warnings)
-            except StorageError:
-                self.write_failures += 1
-                self.disabled = True
-        elif self.memory is not None:
-            path = shard_cache_path(self.cache_dir, index)
-            try:
-                with gzip.open(path, "rt", encoding="utf-8") as handle:
-                    lines = handle.readlines()
-            except OSError:  # pragma: no cover - defensive
-                return
-            self.memory.put(
-                self._memory_key(index),
-                ShardPrep(
-                    outcomes=outcomes, warnings=warnings, lines=lines
-                ),
-                cost=len(lines),
-            )
+        try:
+            self.disk.store(index, outcomes, warnings)
+        except StorageError:
+            self.write_failures += 1
+            self.disabled = True

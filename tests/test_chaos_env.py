@@ -40,16 +40,6 @@ CONFIG = PipelineConfig(iterations=2)
 SHARD_SIZE = 10  # 40 pages -> 4 shards
 
 
-@pytest.fixture(autouse=True)
-def _cold_prep():
-    """Each scenario preps from scratch: a warm process-global memory
-    cache would skip the prep fan-out and the faults aimed at it."""
-    from repro.perf.prep_cache import memory_prep_cache
-
-    memory_prep_cache().clear()
-    yield
-
-
 @pytest.fixture(scope="module")
 def vacuum():
     return Marketplace(seed=7).generate("vacuum_cleaner", 40)
@@ -95,7 +85,7 @@ def test_sigkilled_workers_respawn_requeue_bit_identical(
     )
     result = _run(vacuum, faults=plan, workers=2)
     assert result.triples == baseline.triples
-    assert result.quarantine is None or len(result.quarantine) == 0
+    assert len(result.quarantine) == 0
     pool = result.resilience_counters()["pool"]
     # One prep kill + one tag kill per iteration (attempt counters are
     # per wave, and times=1 condemns each shard's first attempt).
@@ -232,9 +222,7 @@ def test_dueling_runs_fall_back_to_private_cache(
     """While another live run holds the cache lock, a second run must
     not interleave writes: it falls back to a private scratch cache,
     counts the contention, and produces identical output."""
-    digest = prep_digest(
-        CONFIG.ingest if CONFIG.ingest.enabled else None
-    )
+    digest = prep_digest(CONFIG.ingest)
     key = prep_cache_key(_source(vacuum).fingerprint(), digest)
     holder = DiskPrepCache(tmp_path, key)
     assert not holder.contended

@@ -120,9 +120,3 @@ def test_trainer_warnings_flow_through_trace():
     counters = result.resilience_counters()
     assert counters["trainer_warnings"] == {"lbfgs_abnormal": 3}
 
-
-def test_resilience_counters_without_trace_have_trainer_key():
-    from repro.core.pipeline import PipelineResult
-
-    result = PipelineResult(bootstrap=None, product_count=0, trace=None)
-    assert result.resilience_counters()["trainer_warnings"] == {}

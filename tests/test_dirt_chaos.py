@@ -27,6 +27,7 @@ from repro.core.bootstrap import (
 )
 from repro.corpus import Marketplace
 from repro.errors import CheckpointError, FaultInjectionError
+from repro.ingest import IngestGate
 from repro.runtime import (
     CategoryRunner,
     CheckpointStore,
@@ -104,19 +105,23 @@ def test_dirt_rate_zero_is_bit_identical_to_clean(vacuum):
     assert not dirty.quarantine
 
 
+def test_gate_keeps_clean_pages_unchanged(vacuum):
+    """The shipped repair gate passes a clean corpus through as is:
+    every page kept and equal to its input, no repair, no ledger."""
+    pages = vacuum.product_pages
+    gated = IngestGate().process(pages)
+    assert gated.pages == list(pages)
+    assert gated.repaired == {}
+    assert not gated.quarantine
+    assert gated.pages_in == len(pages)
+
+
 def test_default_gate_is_noop_on_clean_corpus(vacuum):
     """The shipped repair gate must not perturb a clean run at all."""
-    config = PipelineConfig(iterations=2)
-    gated = PAEPipeline(config).run(
+    gated = PAEPipeline(PipelineConfig(iterations=2)).run(
         vacuum.product_pages, vacuum.query_log
     )
-    ungated = PAEPipeline(
-        replace(config, ingest=IngestConfig(enabled=False))
-    ).run(vacuum.product_pages, vacuum.query_log)
-    assert gated.triples == ungated.triples
-    assert gated.bootstrap.iterations == ungated.bootstrap.iterations
-    assert gated.quarantine is not None and not gated.quarantine
-    assert ungated.quarantine is None
+    assert not gated.quarantine
     # Containment stays silent on a clean run: every fault, retry,
     # skip, quarantine, repair, breaker, trainer-warning, pool, memory
     # and storage-degradation counter is empty or zero.
@@ -335,7 +340,9 @@ def test_circuit_breaker_disabled_runs_to_completion(vacuum):
     config = replace(
         PipelineConfig(iterations=3),
         veto=VetoConfig(max_value_chars=1),
-        health=HealthConfig(enable_circuit_breaker=False),
+        health=HealthConfig(
+            max_rejection_rate=1.0, yield_collapse_ratio=0.0
+        ),
     )
     result = PAEPipeline(config).run(
         vacuum.product_pages, vacuum.query_log
@@ -375,11 +382,17 @@ def test_health_trip_decision_table():
         boot._health_trip(_iteration(2, 0), empty, [_iteration(1, 10)])
         is None
     )
-    # Breaker off: never trips.
+    # Breaker off (thresholds that cannot trip): never trips.
     off = Bootstrapper(
         replace(
             PipelineConfig(),
-            health=HealthConfig(enable_circuit_breaker=False),
+            health=HealthConfig(
+                max_rejection_rate=1.0, yield_collapse_ratio=0.0
+            ),
         )
     )
     assert off._health_trip(_iteration(1, 100), empty, []) is None
+    assert (
+        off._health_trip(_iteration(2, 0), empty, [_iteration(1, 100)])
+        is None
+    )

@@ -1,7 +1,7 @@
 """Cross-run shard-prep artifact cache (:mod:`repro.perf.prep_cache`).
 
 The contract under test: cached streamed runs are bit-identical to
-uncached ones (cache cold, warm, tampered, bypassed), the disk tier
+uncached ones (cache cold, warm, tampered, bypassed), the disk cache
 self-validates via its checksummed sidecars, and page-corrupting fault
 plans never touch the cache in either direction.
 """
@@ -17,10 +17,7 @@ from repro.corpus import Marketplace, MaterializedPageSource
 from repro.perf.prep_cache import (
     PREP_FORMAT_VERSION,
     DiskPrepCache,
-    MemoryPrepCache,
     PrepStore,
-    ShardPrep,
-    memory_prep_cache,
     prep_cache_key,
     prep_digest,
 )
@@ -46,10 +43,7 @@ def _assert_same_output(left, right):
     assert left.triples == right.triples
     assert left.seed_triples == right.seed_triples
     assert left.attributes == right.attributes
-    if left.quarantine is not None or right.quarantine is not None:
-        assert (
-            left.quarantine.to_payload() == right.quarantine.to_payload()
-        )
+    assert left.quarantine.to_payload() == right.quarantine.to_payload()
 
 
 # -- key and digest ------------------------------------------------------
@@ -58,7 +52,7 @@ def _assert_same_output(left, right):
 def test_prep_digest_tracks_gate_config():
     base = prep_digest(IngestConfig())
     assert base == prep_digest(IngestConfig())
-    assert base != prep_digest(None)
+    assert base != prep_digest(IngestConfig(policy="drop"))
     assert base != prep_digest(IngestConfig(max_page_bytes=123))
 
 
@@ -66,40 +60,6 @@ def test_prep_cache_key_shape():
     digest = prep_digest(IngestConfig())
     key = prep_cache_key("f" * 64, digest)
     assert key == f"{digest[:16]}_{'f' * 16}"
-
-
-# -- memory tier ---------------------------------------------------------
-
-
-def _prep(pages=4):
-    return ShardPrep(outcomes=[], warnings={}, lines=["{}\n"] * pages)
-
-
-def test_memory_cache_evicts_least_recently_used():
-    cache = MemoryPrepCache(max_pages=10)
-    cache.put(("a",), _prep(), cost=4)
-    cache.put(("b",), _prep(), cost=4)
-    assert cache.get(("a",)) is not None  # refresh "a"
-    cache.put(("c",), _prep(), cost=4)  # over budget: evicts "b"
-    assert cache.get(("b",)) is None
-    assert cache.get(("a",)) is not None
-    assert cache.get(("c",)) is not None
-    assert cache.pages == 8
-
-
-def test_memory_cache_rejects_oversized_entry():
-    cache = MemoryPrepCache(max_pages=5)
-    cache.put(("big",), _prep(6), cost=6)
-    assert len(cache) == 0
-    assert cache.get(("big",)) is None
-
-
-def test_memory_cache_replaces_existing_key():
-    cache = MemoryPrepCache(max_pages=10)
-    cache.put(("a",), _prep(), cost=4)
-    cache.put(("a",), _prep(), cost=6)
-    assert len(cache) == 1
-    assert cache.pages == 6
 
 
 # -- disk tier -----------------------------------------------------------
@@ -203,21 +163,6 @@ def test_cached_run_matches_cold_run_in_fresh_cache_dir(vacuum, tmp_path):
     _assert_same_output(cold, cached)
 
 
-def test_memory_tier_serves_repeat_run_in_process(vacuum):
-    memory_prep_cache().clear()
-    source = _source(vacuum)
-    pipeline = PAEPipeline(CONFIG)
-    first = pipeline.run_streamed(source, vacuum.query_log)
-    assert first.perf_counters()["prep_cache"] == {
-        "hits": 0, "misses": source.shard_count,
-    }
-    second = pipeline.run_streamed(source, vacuum.query_log)
-    assert second.perf_counters()["prep_cache"] == {
-        "hits": source.shard_count, "misses": 0,
-    }
-    _assert_same_output(second, first)
-
-
 def test_checkpoint_retains_prep_cache_across_restart(vacuum, tmp_path):
     source = _source(vacuum)
     pipeline = PAEPipeline(CONFIG)
@@ -311,6 +256,46 @@ def test_page_faults_bypass_cache_in_both_directions(vacuum, tmp_path):
     _assert_same_output(clean, reference)
 
 
+def _dirt_plan():
+    return FaultPlan(
+        [FaultSpec(stage="corpus", kind="dirt", corrupt_fraction=0.2)],
+        seed=3,
+    )
+
+
+def test_page_faulted_run_leaves_nothing_in_cache_dir(vacuum, tmp_path):
+    """A bypassed run preps into a self-cleaning temporary directory:
+    no shard file lands in the cache root, where no later run would
+    ever remove it."""
+    plan = _dirt_plan()
+    PAEPipeline(CONFIG).run_streamed(
+        _source(vacuum), vacuum.query_log,
+        cache_dir=str(tmp_path), faults=plan,
+    )
+    assert plan.injected.get(("corpus", "dirt_pages"), 0) > 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_page_faulted_checkpoint_run_keeps_no_shard_cache(
+    vacuum, tmp_path
+):
+    PAEPipeline(CONFIG).run_streamed(
+        _source(vacuum), vacuum.query_log,
+        checkpoint_dir=str(tmp_path), faults=_dirt_plan(),
+    )
+    assert not (tmp_path / "prep_cache").exists()
+    assert not list(tmp_path.rglob("shard_*.jsonl.gz"))
+
+
+def test_run_without_root_caches_nothing(vacuum):
+    result = PAEPipeline(CONFIG).run_streamed(
+        _source(vacuum), vacuum.query_log
+    )
+    assert result.perf_counters()["prep_cache"] == {
+        "hits": 0, "misses": 0,
+    }
+
+
 # -- concurrency and hostile-environment behaviour -----------------------
 
 
@@ -366,12 +351,7 @@ def test_store_write_failure_disables_further_stores(tmp_path):
         [FaultSpec(stage="prep_cache_write", kind="disk_full", times=None)]
     )
     disk = DiskPrepCache(tmp_path, "key", faults=plan)
-    store = PrepStore(
-        cache_dir=str(disk.directory),
-        source_fingerprint="f",
-        digest="d",
-        disk=disk,
-    )
+    store = PrepStore(disk)
     _write_shard(disk)
     store.store(0, [], {})
     assert store.disabled
