@@ -114,7 +114,8 @@ class DiskPrepCache:
     bytes). :meth:`load` returns the replay outcomes only when the
     sidecar validates against the file on disk. Sibling keys under the
     same root belong to older configs or other sources and are pruned
-    on construction, bounding disk growth at one prep set per root.
+    on construction, bounding disk growth at one prep set per root;
+    a sibling another live run holds locked is left alone.
 
     Concurrency: construction takes a non-blocking ``fcntl.flock``
     advisory lock on the keyed directory. When another live run
@@ -157,10 +158,15 @@ class DiskPrepCache:
     def _prune(self) -> None:
         """Delete sibling keys (older configs/sources) under the root.
 
-        Tolerates a concurrent deleter: every entry that vanishes
-        between listing and removal is simply skipped — another
-        process beat us to the same cleanup.
+        A sibling whose ``.cache.lock`` another live run holds is
+        skipped: it is that run's shard-cache directory. An unlocked
+        sibling is removed while holding its lock, so no run can open
+        it mid-removal. Tolerates a concurrent deleter: every entry
+        that vanishes between listing and removal is simply skipped —
+        another process beat us to the same cleanup.
         """
+        from ..runtime.storage import DirectoryLock
+
         try:
             children = list(self.root.iterdir())
         except FileNotFoundError:  # root itself raced away
@@ -168,11 +174,18 @@ class DiskPrepCache:
         for child in children:
             try:
                 if (
-                    child.is_dir()
-                    and child.name != self.key
-                    and not child.name.startswith(".")
+                    not child.is_dir()
+                    or child.name == self.key
+                    or child.name.startswith(".")
                 ):
+                    continue
+                lock = DirectoryLock(child, ".cache.lock")
+                if not lock.try_acquire():
+                    continue  # a live run's directory
+                try:
                     shutil.rmtree(child, ignore_errors=True)
+                finally:
+                    lock.release()
             except FileNotFoundError:
                 continue
 

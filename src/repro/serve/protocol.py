@@ -21,12 +21,16 @@ from ..errors import ReproError
 ERROR_STATUS = {
     "bad_request": 400,
     "not_found": 404,
+    "uri_too_long": 414,
     "quarantined": 422,
     "shed": 429,
+    "headers_too_large": 431,
     "model_error": 500,
     "internal": 500,
+    "unsupported_method": 501,
     "unavailable": 503,
     "timeout": 504,
+    "unsupported_version": 505,
 }
 
 #: Degradation-ladder levels, best to worst.

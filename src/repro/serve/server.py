@@ -24,7 +24,11 @@ gauntlet, in order:
 
 The HTTP layer (:class:`ExtractionServer`) is a stdlib
 ``ThreadingHTTPServer``; one thread per connection, all shared state
-behind the service's locks.
+behind the service's locks. Every answer is structured JSON, including
+the stdlib's own error path (malformed request line, unsupported
+method, oversized header), and leaves in one send: head and body share
+one buffered stream flushed once per request, and ``TCP_NODELAY`` is
+set, so no answer waits on the client's delayed ACK.
 """
 
 from __future__ import annotations
@@ -68,6 +72,16 @@ from .registry import ModelRegistry
 
 #: Model failures that trigger in-request fallback down the ladder.
 _FALLBACK_ERRORS = (ModelError, WorkerDeathError, FaultInjectionError)
+
+#: HTTP status → error code for every status the stdlib's request
+#: parsing answers with (:meth:`_Handler.send_error`).
+_STDLIB_ERROR_CODES = {
+    400: "bad_request",
+    414: "uri_too_long",
+    431: "headers_too_large",
+    501: "unsupported_method",
+    505: "unsupported_version",
+}
 
 
 class ExtractionService:
@@ -484,10 +498,21 @@ class ExtractionService:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP to the service; every response is structured JSON."""
+    """Routes HTTP to the service; every response is structured JSON.
+
+    Transport: ``wbufsize = -1`` gives the handler one buffered
+    ``wfile``, so an answer's head and body go out together when
+    ``handle_one_request`` flushes it; ``disable_nagle_algorithm``
+    sets ``TCP_NODELAY``, so a body larger than the buffer (``/stats``)
+    is not held back either. Written as two unbuffered sends, the body
+    waited for the client's delayed ACK (about 40 ms) whenever a
+    keep-alive connection ran back to back.
+    """
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass  # the service keeps its own counters; stderr stays quiet
@@ -506,7 +531,29 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's own error path, answered as structured JSON.
+
+        ``BaseHTTPRequestHandler`` calls this before any route runs: a
+        malformed request line (400), an oversized request line (414)
+        or header (431), an unsupported method (501) or HTTP version
+        (505). The status stays the one the stdlib chose, and the
+        connection closes, as the stdlib's own answer does. A request
+        line the stdlib could not read as HTTP/1.x counts as HTTP/0.9,
+        whose answers carry no head; the answer gets an HTTP/1.0 head
+        instead, so the client still sees the status.
+        """
+        if self.request_version == "HTTP/0.9":
+            self.request_version = "HTTP/1.0"
+        status = int(code)
+        detail = message or self.responses[status][0]
+        if explain:
+            detail = f"{detail} ({explain})"
+        _, payload = error_payload(_STDLIB_ERROR_CODES[status], detail)
+        self._send(status, payload, {"Connection": "close"})
 
     def _read_body(self) -> bytes | None:
         """Read the request body; None (and a structured 400) if oversized."""

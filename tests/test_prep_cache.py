@@ -119,6 +119,24 @@ def test_disk_cache_prunes_sibling_keys(tmp_path):
     assert (tmp_path / "fresh_key").is_dir()
 
 
+def test_prune_spares_a_sibling_a_live_run_holds(tmp_path):
+    """Two live runs with different keys share one root: opening the
+    second must not delete the first one's shard files; once the first
+    is closed, the next open prunes it."""
+    first = DiskPrepCache(tmp_path, "key_a")
+    shard = _write_shard(first)
+    second = DiskPrepCache(tmp_path, "key_b")
+    assert not second.contended
+    assert shard.exists()
+    assert (tmp_path / "key_b").is_dir()
+    first.close()
+    second.close()
+    third = DiskPrepCache(tmp_path, "key_c")
+    assert not (tmp_path / "key_a").exists()
+    assert not (tmp_path / "key_b").exists()
+    third.close()
+
+
 # -- streamed runs against the cache -------------------------------------
 
 
