@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 import signal
+import socket
 
 import pytest
 
@@ -159,3 +161,21 @@ def serve_model(ja):
         attribute: list(values)
         for attribute, values in SERVE_DICTIONARY.items()
     }
+
+
+@pytest.fixture
+def raw_http():
+    """Send raw bytes to a serve daemon, read until it closes the
+    connection; returns ``(status, JSON body, raw head)``."""
+
+    def _exchange(server, request: bytes) -> tuple[int, dict, bytes]:
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=20) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return int(head.split(b" ", 2)[1]), json.loads(body), head
+
+    return _exchange
