@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy one-prep-path verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy one-prep-path one-estep verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -87,12 +87,21 @@ ONE_PREP_PATH_RE = MemoryPrepCache|memory_prep_cache|ingest\.enabled|enable_circ
 one-prep-path:
 	@git grep -nE "$(ONE_PREP_PATH_RE)" -- src; test $$? -eq 1
 
+# The CRF has one forward–backward: the trainer's PackedEstep also
+# scores span confidences, and the deleted padded log-space E-step
+# family stays deleted, as do the dead SeedEntry type and the
+# never-pulled MemoryGovernor.throttle_batch lever. Passes only when
+# `git grep` finds nothing (exit 1); a match or a git error fails.
+ONE_ESTEP_RE = def forward_backward|ForwardBackward|pairwise_expected_counts|_logsumexp|SeedEntry|throttle_batch
+one-estep:
+	@git grep -nE "$(ONE_ESTEP_RE)" -- src; test $$? -eq 1
+
 # Tier-1 suite (which holds the shard-layout bit-identity matrix and
 # the published-numbers drift check) plus the serve chaos acceptance,
 # the environment-fault acceptance, the benchmark's smoke tests, the
 # full-size paper_warm digest, the retired-harness guard, the
-# one-fan-out guard, the private-scipy guard and the one-prep-path
-# guard: the quick pre-merge gate.
+# one-fan-out guard, the private-scipy guard, the one-prep-path guard
+# and the one-E-step guard: the quick pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -103,6 +112,7 @@ verify:
 	$(MAKE) one-fanout
 	$(MAKE) no-private-scipy
 	$(MAKE) one-prep-path
+	$(MAKE) one-estep
 
 examples:
 	python examples/quickstart.py

@@ -6,8 +6,9 @@ template from :mod:`repro.ml.features`.
 
 Structure:
 
-* :mod:`inference` — batched log-space forward/backward, posterior
-  marginals and Viterbi decoding over padded tensors;
+* :mod:`inference` — one forward–backward (the packed, scaled
+  probability-space E-step that yields log partitions, posterior
+  marginals and expected transition counts) and Viterbi decoding;
 * :mod:`train` — the regularized negative log-likelihood objective and
   its analytic gradient, minimized with scipy's L-BFGS-B;
 * :mod:`model` — the :class:`CrfTagger` facade implementing the

@@ -8,15 +8,16 @@ use the cheap, standard approximation — the geometric mean of the
 per-token posterior marginals of the span's labels — which is exact
 for length-1 spans and a tight lower-bound proxy otherwise.
 
-Used by :meth:`repro.ml.crf.model.CrfTagger.tag_with_confidence` and
-the confidence-filter extension.
+The marginals are the ones the trainer's E-step computes
+(:class:`~repro.ml.crf.inference.PackedEstep`); they can underflow to
+exactly 0.0, which scores the span 0.0. Used by
+:meth:`repro.ml.crf.model.CrfTagger.tag_with_confidence` and the
+confidence-filter extension.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .inference import ForwardBackward
 
 
 def span_confidences(

@@ -1,28 +1,20 @@
-"""Batched log-space inference for the linear-chain CRF.
+"""Linear-chain CRF inference: one forward–backward and Viterbi.
 
-All routines operate on a padded batch:
+* :class:`PackedEstep` — forward–backward in scaled probability space
+  over one :class:`~repro.perf.bucketing.PackedLayout` bucket (packed
+  time-major rows, no padding). It is the trainer's E-step, and
+  :meth:`~repro.ml.crf.model.CrfTagger.tag_with_confidence` runs it
+  unweighted for span confidences.
+* :func:`viterbi` — best-path decoding over a padded batch:
+  ``emissions`` (B, T, L) scores, a row-prefix ``mask`` (B, T) and
+  ``transitions`` (L, L), the score of label j following i.
 
-* ``emissions``: float array (B, T, L) — unary scores, zero at padding;
-* ``mask``: bool array (B, T) — True at real tokens (row-prefix form);
-* ``transitions``: float array (L, L) — score of label j following i.
-
-The forward/backward recursions use the carry trick at padded steps
-(alpha is propagated unchanged), so ``alpha[:, -1]`` always holds the
-value at each sequence's last real token.
-
-Hot-path note: every recursion step needs a ``(B, L, L)`` score block;
-allocating one (plus an ``exp`` temporary) per step dominated L-BFGS
-wall-clock. The routines now write into preallocated scratch buffers
-(:class:`InferenceScratch`) shared across steps and across objective
-calls. The *sequence of floating-point operations is unchanged* —
-identical elementwise ops on identically-shaped arrays, identical
-reduction axes — so results are bit-for-bit equal to the allocating
-implementation; only the memory traffic differs.
+Both write into preallocated :class:`InferenceScratch` buffers shared
+across steps and calls; their buffer names do not collide, so one
+tagger's scratch serves both.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -307,180 +299,6 @@ class PackedEstep:
         else:
             self.seq_trans[...] = 0.0
         return self.log_z, marg, self.seq_trans
-
-
-def _logsumexp(
-    values: np.ndarray, axis: int, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Stabilized log-sum-exp along ``axis``.
-
-    ``work`` (same shape as ``values``) receives the shifted
-    exponentials, avoiding a fresh temporary per call; passing
-    ``values`` itself is allowed and destroys it.
-    """
-    peak = values.max(axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    if work is None:
-        work = np.empty_like(values)
-    np.subtract(values, peak, out=work)
-    np.exp(work, out=work)
-    total = work.sum(axis=axis)
-    np.log(total, out=total)
-    total += np.squeeze(peak, axis=axis)
-    return total
-
-
-@dataclass(frozen=True)
-class ForwardBackward:
-    """Cached quantities from one forward/backward pass.
-
-    Attributes:
-        log_alpha: (B, T, L) forward messages.
-        log_beta: (B, T, L) backward messages.
-        log_z: (B,) log partition per sequence.
-    """
-
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-    log_z: np.ndarray
-
-    def unary_marginals(self) -> np.ndarray:
-        """Posterior P(y_t = l) as a (B, T, L) array (junk at padding)."""
-        logp = (
-            self.log_alpha
-            + self.log_beta
-            - self.log_z[:, None, None]
-        )
-        return np.exp(np.clip(logp, -60.0, 0.0))
-
-
-def forward_backward(
-    emissions: np.ndarray,
-    mask: np.ndarray,
-    transitions: np.ndarray,
-    scratch: InferenceScratch | None = None,
-) -> ForwardBackward:
-    """Run the forward and backward recursions over a padded batch.
-
-    Padded steps are pure carries, so each step computes the ``(B_a,
-    L, L)`` score block only for the rows still *active* there (the
-    mask is row-prefix form: the active set shrinks monotonically with
-    ``t``). Every op on an active row — the broadcast add, the per-row
-    log-sum-exp reduction along a label axis — is independent of the
-    other rows, so subsetting changes which rows are computed, never
-    their values.
-    """
-    batch, steps, labels = emissions.shape
-    scratch = scratch if scratch is not None else InferenceScratch()
-    work = scratch.buffer("pair", (batch, labels, labels))
-    small = scratch.buffer("unary", (batch, labels))
-    log_alpha = np.empty((batch, steps, labels), dtype=np.float64)
-    log_alpha[:, 0] = emissions[:, 0]
-    for t in range(1, steps):
-        active = np.flatnonzero(mask[:, t])
-        if active.size == 0:
-            log_alpha[:, t:] = log_alpha[:, t - 1][:, None, :]
-            break
-        if active.size == batch:
-            np.add(
-                log_alpha[:, t - 1][:, :, None],
-                transitions[None, :, :],
-                out=work,
-            )
-            updated = _logsumexp(work, axis=1, work=work)
-            updated += emissions[:, t]
-            log_alpha[:, t] = updated
-            continue
-        sub = work[: active.size]
-        np.add(
-            log_alpha[active, t - 1][:, :, None],
-            transitions[None, :, :],
-            out=sub,
-        )
-        updated = _logsumexp(sub, axis=1, work=sub)
-        updated += emissions[active, t]
-        log_alpha[:, t] = log_alpha[:, t - 1]
-        log_alpha[active, t] = updated
-
-    log_beta = np.zeros((batch, steps, labels), dtype=np.float64)
-    for t in range(steps - 2, -1, -1):
-        active = np.flatnonzero(mask[:, t + 1])
-        if active.size == 0:
-            continue
-        if active.size == batch:
-            np.add(emissions[:, t + 1], log_beta[:, t + 1], out=small)
-            np.add(transitions[None, :, :], small[:, None, :], out=work)
-            updated = _logsumexp(work, axis=2, work=work)
-            log_beta[:, t] = updated
-            continue
-        sub = work[: active.size]
-        gathered = emissions[active, t + 1] + log_beta[active, t + 1]
-        np.add(transitions[None, :, :], gathered[:, None, :], out=sub)
-        updated = _logsumexp(sub, axis=2, work=sub)
-        log_beta[:, t] = log_beta[:, t + 1]
-        log_beta[active, t] = updated
-
-    log_z = _logsumexp(log_alpha[:, -1], axis=1, work=small)
-    return ForwardBackward(log_alpha, log_beta, log_z)
-
-
-def pairwise_expected_counts(
-    fb: ForwardBackward,
-    emissions: np.ndarray,
-    mask: np.ndarray,
-    transitions: np.ndarray,
-    scratch: InferenceScratch | None = None,
-) -> np.ndarray:
-    """Sum of posterior pairwise marginals, an (L, L) matrix.
-
-    Accumulated over every *valid* transition (t-1 → t where token t is
-    real) of every sequence — this is the model-expectation term of the
-    transition gradient.
-    """
-    labels = transitions.shape[0]
-    batch, steps, _ = emissions.shape
-    scratch = scratch if scratch is not None else InferenceScratch()
-    # `pair` keeps the full (B, L, L) block whose axis-0 sum feeds the
-    # accumulator — the cross-row reduction must keep its exact shape
-    # (and hence summation tree) for bitwise reproducibility. The
-    # per-row probability terms are computed in `pair_sub` for the
-    # valid rows only and scattered in; rows that fall out of the
-    # valid set are zeroed once (the set only shrinks with t) exactly
-    # as the masked assignment zeroed them every step.
-    work = scratch.buffer("pair", (batch, labels, labels))
-    sub_full = scratch.buffer("pair_sub", (batch, labels, labels))
-    expected = np.zeros((labels, labels), dtype=np.float64)
-    previously_valid = np.ones(batch, dtype=bool)
-    for t in range(1, steps):
-        valid = mask[:, t]
-        active = np.flatnonzero(valid)
-        if active.size == 0:
-            break
-        newly_invalid = previously_valid & ~valid
-        if newly_invalid.any():
-            work[newly_invalid] = 0.0
-        previously_valid = valid
-        if active.size == batch:
-            sub = work
-            alpha = fb.log_alpha[:, t - 1]
-            beta_term = emissions[:, t] + fb.log_beta[:, t]
-            log_z = fb.log_z
-        else:
-            sub = sub_full[: active.size]
-            alpha = fb.log_alpha[active, t - 1]
-            beta_term = emissions[active, t] + fb.log_beta[active, t]
-            log_z = fb.log_z[active]
-        # Same left-to-right association as the expression form:
-        # ((alpha + A) + (emit + beta)) - log_z.
-        np.add(alpha[:, :, None], transitions[None, :, :], out=sub)
-        sub += beta_term[:, None, :]
-        sub -= log_z[:, None, None]
-        np.clip(sub, -60.0, 0.0, out=sub)
-        np.exp(sub, out=sub)
-        if sub is not work:
-            work[active] = sub
-        expected += work.sum(axis=0)
-    return expected
 
 
 def viterbi(

@@ -14,11 +14,11 @@ import numpy as np
 from ...config import CrfConfig
 from ...errors import ModelError, NotFittedError, TrainingError
 from ...nlp.bio import OUTSIDE, repair_bio
-from ...perf.bucketing import length_buckets
+from ...perf.bucketing import PackedLayout, length_buckets
 from ...perf.cache import FeatureCache
 from ...types import Sentence, TaggedSentence
 from ..features import FeatureExtractor, FeatureIndexer
-from .inference import InferenceScratch, viterbi
+from .inference import InferenceScratch, PackedEstep, viterbi
 from .train import CrfProblem, train_crf
 
 #: Sentences per padded Viterbi batch at tag time. Sentences are
@@ -183,6 +183,14 @@ class CrfTagger:
     ) -> list[tuple[TaggedSentence, list[float]]]:
         """Tag sentences and score every decoded span.
 
+        Posterior marginals come from the trainer's E-step
+        (:class:`~repro.ml.crf.inference.PackedEstep`, unweighted), run
+        over each tag batch packed time-major. They are not floored: a
+        marginal can underflow to exactly 0.0, and its span then scores
+        0.0. The log-space forward–backward this replaced floored them
+        at e^-60 ≈ 8.7e-27, so any ``min_confidence`` above that keeps
+        the same spans.
+
         Returns:
             For each sentence, ``(tagged, confidences)`` where
             ``confidences[i]`` belongs to the i-th span of
@@ -194,29 +202,38 @@ class CrfTagger:
             raise NotFittedError("CrfTagger")
         from ...nlp.bio import decode_bio
         from .confidence import span_confidences
-        from .inference import forward_backward
 
+        n_labels = len(self._labels)
+        trans_max = float(self._transitions.max())
+        trans_exp = np.exp(self._transitions - trans_max)
         results: list[tuple[TaggedSentence, list[float]]] = []
         nonempty = [s for s in sentences if len(s) > 0]
         scored: dict[int, tuple[list[str], list[float]]] = {}
         for chunk in self._tag_batches(nonempty):
-            emissions, mask = self._emissions(chunk)
+            scores, emissions, mask = self._emissions(chunk)
             paths = viterbi(
                 emissions, mask, self._transitions,
                 scratch=self._scratch,
             )
-            fb = forward_backward(
-                emissions, mask, self._transitions,
+            lengths = np.asarray([len(s) for s in chunk], dtype=np.int64)
+            starts = np.zeros(len(chunk), dtype=np.int64)
+            np.cumsum(lengths[:-1], out=starts[1:])
+            layout = PackedLayout(lengths)
+            flat = layout.flat_rows(starts)
+            estep = PackedEstep(
+                layout, n_labels, np.ones(layout.rows),
                 scratch=self._scratch,
             )
-            marginals = fb.unary_marginals()
-            for index, sentence in enumerate(chunk):
+            _, packed, _ = estep.run(scores[flat], trans_exp, trans_max)
+            marginals = np.empty_like(scores)
+            marginals[flat] = packed
+            for sentence, path, start in zip(chunk, paths, starts):
                 labels = repair_bio(
-                    [self._labels[label] for label in paths[index]]
+                    [self._labels[label] for label in path]
                 )
                 spans = decode_bio(labels)
                 confidences = span_confidences(
-                    marginals[index, : len(sentence)],
+                    marginals[start:start + len(sentence)],
                     spans,
                     self._label_index,
                 )
@@ -256,8 +273,14 @@ class CrfTagger:
 
     def _emissions(
         self, sentences: Sequence[Sentence]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Padded emission scores and mask for non-empty sentences."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Emission scores for non-empty sentences.
+
+        Returns:
+            ``(scores, emissions, mask)`` — the sentence-major flat
+            ``(rows, L)`` scores, and their padded ``(B, T, L)`` copy
+            with its mask.
+        """
         assert self._indexer is not None and self._unary is not None
         if self._cache is None:
             design = self._indexer.design_matrix(
@@ -287,11 +310,11 @@ class CrfTagger:
             emissions[index, :length] = scores_flat[offset:offset + length]
             mask[index, :length] = True
             offset += length
-        return emissions, mask
+        return scores_flat, emissions, mask
 
     def _decode(self, sentences: Sequence[Sentence]) -> list[list[str]]:
         assert self._transitions is not None
-        emissions, mask = self._emissions(sentences)
+        _, emissions, mask = self._emissions(sentences)
         paths = viterbi(
             emissions, mask, self._transitions, scratch=self._scratch
         )

@@ -119,9 +119,6 @@ class MemoryGovernor:
 
     * :meth:`throttle_workers` — halve the next wave's worker fan-out
       (fewer concurrent shard copies resident), floor 1.
-    * :meth:`throttle_batch` — halve the effective tag batch size
-      (smaller design-matrix buffers), floor 1; tag output is
-      batch-size-invariant by contract.
     * :meth:`relieve` — drop the tokenizer sentence memo (a pure
       cache).
 
@@ -199,12 +196,6 @@ class MemoryGovernor:
         if not self._last_pressed:
             return workers
         return max(1, workers // 2)
-
-    def throttle_batch(self, batch_size: int) -> int:
-        """Halved tag batch size under the last sample's pressure."""
-        if not self._last_pressed:
-            return batch_size
-        return max(1, batch_size // 2)
 
     def relieve(self) -> int:
         """Drop pure caches (tokenizer sentence memo); entries freed."""

@@ -31,7 +31,8 @@ from ..errors import (
 from ..runtime.jobs import Deadline
 from ..types import Sentence, TaggedSentence
 
-#: Exceptions where retrying jobs individually can rescue batch-mates.
+#: Model failures: retrying jobs individually can rescue batch-mates,
+#: and the server falls to the next ladder rung on any of them.
 ISOLATABLE = (ModelError, WorkerDeathError, FaultInjectionError)
 
 

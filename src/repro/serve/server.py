@@ -39,18 +39,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..config import ServeConfig
-from ..errors import (
-    FaultInjectionError,
-    ModelError,
-    PageQuarantinedError,
-    WorkerDeathError,
-)
+from ..errors import ModelError, PageQuarantinedError
 from ..ingest import IngestGate, QuarantineEntry, QuarantineLog
 from ..nlp import get_locale, split_sentences
 from ..runtime.jobs import Deadline, JobTimeoutError
 from ..types import ProductPage, Sentence, Triple
 from .admission import AdmissionController
-from .batcher import BatchJob, MicroBatcher
+from .batcher import ISOLATABLE, BatchJob, MicroBatcher
 from .breaker import (
     DICTIONARY_LEVEL,
     FAIL_FAST_LEVEL,
@@ -69,9 +64,6 @@ from .protocol import (
     parse_extract_request,
 )
 from .registry import ModelRegistry
-
-#: Model failures that trigger in-request fallback down the ladder.
-_FALLBACK_ERRORS = (ModelError, WorkerDeathError, FaultInjectionError)
 
 #: HTTP status → error code for every status the stdlib's request
 #: parsing answers with (:meth:`_Handler.send_error`).
@@ -341,7 +333,7 @@ class ExtractionService:
                 # The deadline is spent — no rung below can help.
                 return self._timeout(route, level, budget)
             if job.error is not None:
-                if isinstance(job.error, _FALLBACK_ERRORS):
+                if isinstance(job.error, ISOLATABLE):
                     self.ladder.failure(route, level)
                     self._count("model_errors")
                     fallbacks.append(

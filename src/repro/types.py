@@ -173,27 +173,6 @@ class ProductPage:
     locale: str
 
 
-@dataclass(frozen=True, slots=True)
-class SeedEntry:
-    """One attribute-value pair of the initial seed, with frequency info.
-
-    The pre-processor builds seeds from dictionary tables; ``support`` is
-    the number of pages whose table stated this exact pair, which the
-    value-cleaning and diversification modules use for ranking.
-    """
-
-    pair: AttributeValuePair
-    support: int = 1
-
-    @property
-    def attribute(self) -> str:
-        return self.pair.attribute
-
-    @property
-    def value(self) -> str:
-        return self.pair.value
-
-
 @dataclass(slots=True)
 class Dataset:
     """A labelled dataset exchanged between bootstrap iterations.

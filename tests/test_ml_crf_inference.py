@@ -1,8 +1,8 @@
 """Gold-standard tests for CRF inference.
 
-Forward–backward and Viterbi are checked against brute-force
-enumeration over all label sequences — the strongest possible oracle at
-small sizes.
+Forward–backward (the trainer's :class:`PackedEstep`) and Viterbi are
+checked against brute-force enumeration over all label sequences — the
+strongest possible oracle at small sizes.
 """
 
 import itertools
@@ -12,11 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.crf.inference import (
-    forward_backward,
-    pairwise_expected_counts,
-    viterbi,
-)
+from repro.ml.crf.inference import PackedEstep, viterbi
+from repro.perf.bucketing import PackedLayout
 
 
 def brute_force_log_z(emissions, transitions, length):
@@ -72,24 +69,57 @@ def _random_case(rng, batch, max_len, labels):
     return emissions, mask, transitions, lengths
 
 
+def _packed_estep(emissions, transitions, lengths):
+    """Run :class:`PackedEstep` unweighted over a padded random case.
+
+    Returns ``(log_z, marginals, pair_counts)`` in the case's sentence
+    order: (B,) log partitions, (B, T, L) unary marginals (zero at
+    padding) and (B, L, L) expected transition counts.
+    """
+    batch, steps, labels = emissions.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.zeros(batch, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    layout = PackedLayout(lengths)
+    flat = layout.flat_rows(starts)
+    scores = np.concatenate(
+        [emissions[b, :length] for b, length in enumerate(lengths)]
+    )
+    trans_max = float(transitions.max())
+    trans_exp = np.exp(transitions - trans_max)
+    estep = PackedEstep(layout, labels, np.ones(layout.rows))
+    packed_log_z, packed_marg, seq_trans = estep.run(
+        scores[flat], trans_exp, trans_max
+    )
+    log_z = np.empty(batch)
+    log_z[layout.sent_ids] = packed_log_z
+    flat_marg = np.empty_like(scores)
+    flat_marg[flat] = packed_marg
+    marginals = np.zeros_like(emissions)
+    for b, length in enumerate(lengths):
+        marginals[b, :length] = flat_marg[starts[b]:starts[b] + length]
+    pair_counts = np.empty((batch, labels, labels))
+    pair_counts[layout.sent_ids] = seq_trans * trans_exp
+    return log_z, marginals, pair_counts
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_log_z_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     emissions, mask, transitions, lengths = _random_case(rng, 4, 5, 3)
-    fb = forward_backward(emissions, mask, transitions)
+    log_z, _, _ = _packed_estep(emissions, transitions, lengths)
     for b, length in enumerate(lengths):
         expected = brute_force_log_z(
             emissions[b], transitions, int(length)
         )
-        assert fb.log_z[b] == pytest.approx(expected, rel=1e-9)
+        assert log_z[b] == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_unary_marginals_match_brute_force(seed):
     rng = np.random.default_rng(seed + 100)
     emissions, mask, transitions, lengths = _random_case(rng, 2, 4, 3)
-    fb = forward_backward(emissions, mask, transitions)
-    marginals = fb.unary_marginals()
+    _, marginals, _ = _packed_estep(emissions, transitions, lengths)
     for b, length in enumerate(lengths):
         for t in range(int(length)):
             for label in range(3):
@@ -116,19 +146,19 @@ def test_viterbi_matches_brute_force(seed):
 def test_pairwise_counts_sum_to_transition_count():
     rng = np.random.default_rng(7)
     emissions, mask, transitions, lengths = _random_case(rng, 5, 6, 4)
-    fb = forward_backward(emissions, mask, transitions)
-    pairwise = pairwise_expected_counts(fb, emissions, mask, transitions)
+    _, _, pair_counts = _packed_estep(emissions, transitions, lengths)
     # Each sequence of length L contributes exactly L-1 expected
     # transitions in total probability mass.
-    expected_total = float((lengths - 1).sum())
-    assert pairwise.sum() == pytest.approx(expected_total, rel=1e-8)
+    for b, length in enumerate(lengths):
+        assert pair_counts[b].sum() == pytest.approx(
+            float(length - 1), rel=1e-8
+        )
 
 
 def test_marginals_sum_to_one_at_valid_positions():
     rng = np.random.default_rng(8)
     emissions, mask, transitions, lengths = _random_case(rng, 5, 6, 4)
-    fb = forward_backward(emissions, mask, transitions)
-    marginals = fb.unary_marginals()
+    _, marginals, _ = _packed_estep(emissions, transitions, lengths)
     for b, length in enumerate(lengths):
         for t in range(int(length)):
             assert marginals[b, t].sum() == pytest.approx(1.0, rel=1e-8)
@@ -147,8 +177,8 @@ def test_single_token_sequences():
     emissions = np.array([[[1.0, 3.0, 2.0]]])
     mask = np.array([[True]])
     transitions = np.zeros((3, 3))
-    fb = forward_backward(emissions, mask, transitions)
-    assert fb.log_z[0] == pytest.approx(
+    log_z, _, _ = _packed_estep(emissions, transitions, [1])
+    assert log_z[0] == pytest.approx(
         np.log(np.exp(1) + np.exp(3) + np.exp(2))
     )
     assert viterbi(emissions, mask, transitions) == [[1]]

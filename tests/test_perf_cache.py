@@ -159,8 +159,13 @@ def test_tag_batch_size_is_output_identical(
     tagger = CrfTagger(CrfConfig()).train(dataset)
     monkeypatch.setattr(crf_model, "TAG_BATCH_SIZE", 10**9)
     monolithic = tagger.tag(to_tag)
+    scored = tagger.tag_with_confidence(to_tag)
+    assert any(confidences for _, confidences in scored)
     monkeypatch.setattr(crf_model, "TAG_BATCH_SIZE", 1)
     assert tagger.tag(to_tag) == monolithic
+    # Span confidences too, to the last bit: each sentence's marginals
+    # depend only on its own packed rows.
+    assert tagger.tag_with_confidence(to_tag) == scored
 
 
 def test_string_path_tagger_is_output_identical(

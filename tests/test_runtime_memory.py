@@ -95,7 +95,6 @@ def test_governor_inert_without_budget_or_faults():
     assert not governor.under_pressure()
     # No pressure: the throttles are identity functions.
     assert governor.throttle_workers(8) == 8
-    assert governor.throttle_batch(64) == 64
     assert governor.pressure_events == 0
     assert governor.samples == 1
 
@@ -105,10 +104,8 @@ def test_governor_presses_when_budget_crossed():
     governor = _governor(budget_mb=1)
     assert governor.under_pressure()
     assert governor.throttle_workers(8) == 4
-    assert governor.throttle_batch(64) == 32
     # Floors: never throttled to zero.
     assert governor.throttle_workers(1) == 1
-    assert governor.throttle_batch(1) == 1
     assert governor.pressure_events >= 1
     assert governor.max_rss_bytes >= governor.last_rss_bytes > 0
 
