@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy one-prep-path one-estep verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench-digest bench bench-fast no-legacy-bench one-fanout no-private-scipy one-prep-path one-estep one-batch-path verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -96,12 +96,21 @@ ONE_ESTEP_RE = def forward_backward|ForwardBackward|pairwise_expected_counts|_lo
 one-estep:
 	@git grep -nE "$(ONE_ESTEP_RE)" -- src; test $$? -eq 1
 
+# The serve batcher has one batching path: a batch is whatever
+# same-bundle jobs are queued when the worker becomes free. The deleted
+# batch linger (a timed wait for batch-mates) stays deleted. Passes only
+# when `git grep` finds nothing (exit 1); a match or a git error fails.
+ONE_BATCH_PATH_RE = max_wait_seconds|linger
+one-batch-path:
+	@git grep -nE "$(ONE_BATCH_PATH_RE)" -- src/repro/serve; test $$? -eq 1
+
 # Tier-1 suite (which holds the shard-layout bit-identity matrix and
 # the published-numbers drift check) plus the serve chaos acceptance,
 # the environment-fault acceptance, the benchmark's smoke tests, the
 # full-size paper_warm digest, the retired-harness guard, the
-# one-fan-out guard, the private-scipy guard, the one-prep-path guard
-# and the one-E-step guard: the quick pre-merge gate.
+# one-fan-out guard, the private-scipy guard, the one-prep-path guard,
+# the one-E-step guard and the one-batch-path guard: the quick
+# pre-merge gate.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
@@ -113,6 +122,7 @@ verify:
 	$(MAKE) no-private-scipy
 	$(MAKE) one-prep-path
 	$(MAKE) one-estep
+	$(MAKE) one-batch-path
 
 examples:
 	python examples/quickstart.py

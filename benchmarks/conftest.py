@@ -5,9 +5,11 @@ formatted output is printed and also written to
 ``benchmarks/results/<name>.txt`` so a full ``pytest benchmarks/
 --benchmark-only`` run leaves the whole evaluation on disk.
 
-Scale is controlled by ``REPRO_BENCH_PRODUCTS`` (default 160 pages per
-Japanese category; the paper used 4k-12k). Absolute numbers shift with
-scale; the asserted *shapes* (who wins, what grows, what drops) do not.
+Scale is controlled by ``REPRO_BENCH_PRODUCTS`` (default 220 pages per
+Japanese category, ``DEFAULT_PRODUCTS`` in
+:mod:`repro.experiments.common`; the paper used 4k-12k). Absolute
+numbers shift with scale; the asserted *shapes* (who wins, what grows,
+what drops) do not.
 """
 
 from __future__ import annotations

@@ -200,8 +200,10 @@ class ServeConfig:
         max_deadline_seconds: cap on client-requested deadlines.
         batch_max_size: requests merged into one micro-batched tag
             call.
-        batch_max_wait_seconds: how long the batcher waits for
-            co-travellers after the first request arrives.
+        batch_max_wait_seconds: compatibility shim for the removed
+            batch linger (the batcher now tags as soon as it is
+            free). Read by nothing; only the default ``0.0`` is
+            accepted, any other value raises :class:`ConfigError`.
         breaker_threshold: consecutive model failures that trip the
             breaker one rung down the degradation ladder.
         breaker_cooldown_seconds: wait before a half-open probe tries
@@ -219,7 +221,7 @@ class ServeConfig:
     deadline_seconds: float = 5.0
     max_deadline_seconds: float = 30.0
     batch_max_size: int = 16
-    batch_max_wait_seconds: float = 0.005
+    batch_max_wait_seconds: float = 0.0
     breaker_threshold: int = 3
     breaker_cooldown_seconds: float = 2.0
     drain_timeout_seconds: float = 10.0
@@ -247,8 +249,11 @@ class ServeConfig:
             )
         if self.batch_max_size < 1:
             raise ConfigError("batch_max_size must be >= 1")
-        if self.batch_max_wait_seconds < 0:
-            raise ConfigError("batch_max_wait_seconds must be >= 0")
+        if self.batch_max_wait_seconds != 0:
+            raise ConfigError(
+                "batch_max_wait_seconds was removed with the batch "
+                "linger; only 0 is accepted"
+            )
         if self.breaker_threshold < 1:
             raise ConfigError("breaker_threshold must be >= 1")
         if self.breaker_cooldown_seconds < 0:

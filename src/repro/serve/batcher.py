@@ -1,10 +1,13 @@
 """Micro-batching for the serve hot path, with per-request isolation.
 
-Concurrent requests that resolved to the *same model bundle* are
-gathered (up to ``max_size`` jobs or ``max_wait_seconds``, whichever
-comes first) into one ``tagger.tag()`` call — the tagger internally
-length-buckets via :mod:`repro.perf.bucketing`, so a combined batch
-amortises feature extraction and padding across requests.
+One worker thread tags jobs as soon as it is free. A batch is the
+first queued job plus the jobs for the *same model bundle* that queued
+behind it while the previous batch was being tagged (up to
+``max_size``), merged into one ``tagger.tag()`` call — the tagger
+internally length-buckets via :mod:`repro.perf.bucketing`, so a
+combined batch amortises feature extraction and padding across
+requests. An idle worker never waits for batch-mates: batches grow
+only under load, and a lone request pays no batching latency.
 
 The failure contract is strict per-request isolation: when a combined
 batch raises (a strict-decode :class:`~repro.errors.ModelError` on one
@@ -84,17 +87,15 @@ class BatchJob:
 class MicroBatcher:
     """A single worker thread draining a queue of :class:`BatchJob`.
 
+    Each batch is taken from whatever is queued when the worker becomes
+    free: the oldest job and its same-bundle queue-mates.
+
     Args:
         max_size: most jobs merged into one ``tag()`` call.
-        max_wait_seconds: how long the worker lingers after the first
-            job arrives, gathering batch-mates, before tagging. Kept
-            tiny (milliseconds) — it trades a sliver of p50 for large
-            p99/throughput wins under concurrency.
     """
 
-    def __init__(self, max_size: int = 16, max_wait_seconds: float = 0.005):
+    def __init__(self, max_size: int = 16):
         self.max_size = max(1, max_size)
-        self.max_wait_seconds = max(0.0, max_wait_seconds)
         self._cond = threading.Condition()
         self._queue: list[BatchJob] = []
         self._running = True
@@ -140,18 +141,13 @@ class MicroBatcher:
                 self._execute(batch)
 
     def _gather(self) -> list[BatchJob] | None:
-        """Block for a first job, linger briefly for same-bundle mates."""
+        """Block for a first job; take its queued same-bundle mates."""
         with self._cond:
             while self._running and not self._queue:
                 self._cond.wait()
             if not self._running:
                 return None
             lead = self._queue[0]
-            if self.max_wait_seconds > 0 and len(self._queue) < self.max_size:
-                # Linger once for batch-mates; bounded, not re-armed.
-                self._cond.wait(self.max_wait_seconds)
-                if not self._running:
-                    return None
             batch: list[BatchJob] = []
             rest: list[BatchJob] = []
             for job in self._queue:
@@ -163,8 +159,6 @@ class MicroBatcher:
                 else:
                     rest.append(job)
             self._queue = rest
-            if rest:
-                self._cond.notify_all()
             return batch
 
     def _execute(self, batch: list[BatchJob]) -> None:

@@ -121,10 +121,7 @@ class ExtractionService:
             threshold=self.config.breaker_threshold,
             cooldown_seconds=self.config.breaker_cooldown_seconds,
         )
-        self.batcher = MicroBatcher(
-            max_size=self.config.batch_max_size,
-            max_wait_seconds=self.config.batch_max_wait_seconds,
-        )
+        self.batcher = MicroBatcher(max_size=self.config.batch_max_size)
         self.gate = IngestGate(self.config.ingest)
         self.quarantine_log = (
             QuarantineLog(quarantine_path, source="serve")

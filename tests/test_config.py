@@ -183,6 +183,15 @@ class TestResourceLimits:
         with pytest.raises(ConfigError, match="memory_budget_mb"):
             ServeConfig(memory_budget_mb=0)
 
+    def test_serve_batch_max_wait_is_a_zero_only_shim(self):
+        """The batch linger is gone: the old field still accepts the
+        bench's ``batch_max_wait_seconds=0`` and rejects any linger."""
+        from repro.config import ServeConfig
+
+        assert ServeConfig(batch_max_wait_seconds=0).batch_max_wait_seconds == 0
+        with pytest.raises(ConfigError, match="batch_max_wait_seconds"):
+            ServeConfig(batch_max_wait_seconds=0.005)
+
 
 class TestEnvironmentFaultSpecs:
     """The four environment fault kinds validate their targets up

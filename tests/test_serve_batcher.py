@@ -39,6 +39,22 @@ class EchoTagger:
         return tagged
 
 
+class GateTagger(EchoTagger):
+    """EchoTagger whose first ``tag()`` call holds the worker until
+    ``release`` is set, so jobs submitted meanwhile queue behind it."""
+
+    def __init__(self, error=ModelError):
+        super().__init__(error)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def tag(self, sentences):
+        if not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(5.0)
+        return super().tag(sentences)
+
+
 class FakeBundle:
     def __init__(self, tagger):
         self.tagger = tagger
@@ -47,7 +63,7 @@ class FakeBundle:
 
 @pytest.fixture
 def batcher():
-    instance = MicroBatcher(max_size=8, max_wait_seconds=0.02)
+    instance = MicroBatcher(max_size=8)
     yield instance
     instance.close()
 
@@ -58,6 +74,18 @@ def _job(bundle, make_sentence, product_id="p0", budget=5.0):
         [make_sentence("iro wa aka desu", product_id)],
         Deadline.after(budget),
     )
+
+
+def _burst(batcher, lead, rest):
+    """Submit ``lead``, then ``rest`` while the lead's gated ``tag()``
+    holds the worker: ``rest`` is all queued when the worker frees up,
+    so its same-bundle jobs form one batch."""
+    tagger = lead.bundle.tagger
+    batcher.submit(lead)
+    assert tagger.entered.wait(5.0)
+    for job in rest:
+        batcher.submit(job)
+    tagger.release.set()
 
 
 def test_jobs_resolve_with_results(batcher, make_sentence):
@@ -74,14 +102,13 @@ def test_jobs_resolve_with_results(batcher, make_sentence):
 
 
 def test_concurrent_jobs_share_batches(batcher, make_sentence):
-    bundle = FakeBundle(EchoTagger())
+    bundle = FakeBundle(GateTagger())
     jobs = [_job(bundle, make_sentence, f"p{i}") for i in range(8)]
-    for job in jobs:
-        batcher.submit(job)
+    _burst(batcher, jobs[0], jobs[1:])
     for job in jobs:
         assert job.wait(5.0)
-    # The gather window merged at least some of the burst: fewer
-    # tagger calls than jobs.
+    # Jobs that queued while a batch was tagged merged: fewer tagger
+    # calls than jobs.
     assert bundle.tagger.calls < len(jobs)
     assert batcher.batched_jobs == len(jobs)
 
@@ -91,12 +118,12 @@ def test_model_error_fails_only_the_poisoned_request(
 ):
     """Satellite: a strict-decode ModelError on one request's sentence
     must fail that request alone, not its whole micro-batch."""
-    bundle = FakeBundle(EchoTagger())
+    bundle = FakeBundle(GateTagger())
     good = [_job(bundle, make_sentence, f"good{i}") for i in range(3)]
     poisoned = _job(bundle, make_sentence, POISON_ID)
-    # Submit as one burst so they share a batch.
-    for job in (*good[:2], poisoned, good[2]):
-        batcher.submit(job)
+    # good0 holds the worker while the rest queue, so good1, the
+    # poisoned request and good2 share a batch.
+    _burst(batcher, good[0], (good[1], poisoned, good[2]))
     for job in (*good, poisoned):
         assert job.wait(5.0)
     assert isinstance(poisoned.error, ModelError)
@@ -107,11 +134,12 @@ def test_model_error_fails_only_the_poisoned_request(
 
 
 def test_worker_death_is_isolated_the_same_way(batcher, make_sentence):
-    bundle = FakeBundle(EchoTagger(error=lambda msg: WorkerDeathError("tag", msg)))
+    bundle = FakeBundle(GateTagger(error=lambda msg: WorkerDeathError("tag", msg)))
+    lead = _job(bundle, make_sentence, "lead")
     good = _job(bundle, make_sentence, "good")
     dead = _job(bundle, make_sentence, POISON_ID)
-    batcher.submit(good)
-    batcher.submit(dead)
+    # The lead holds the worker, so good and dead share a batch.
+    _burst(batcher, lead, (good, dead))
     assert good.wait(5.0) and dead.wait(5.0)
     assert isinstance(dead.error, WorkerDeathError)
     assert good.error is None
@@ -130,6 +158,20 @@ def test_expired_deadline_drops_before_model_work(batcher, make_sentence):
     assert batcher.deadline_drops == 1
     # The tagger never ran for the dropped job.
     assert bundle.tagger.calls == 0
+
+
+def test_jobs_queued_during_a_tag_form_one_batch(batcher, make_sentence):
+    """Batching under load without a linger: one job, then five more
+    submitted while it is tagged, take exactly two ``tag()`` calls."""
+    bundle = FakeBundle(GateTagger())
+    jobs = [_job(bundle, make_sentence, f"p{i}") for i in range(6)]
+    _burst(batcher, jobs[0], jobs[1:])
+    for job in jobs:
+        assert job.wait(5.0)
+        assert job.error is None
+    assert bundle.tagger.calls == 2
+    assert batcher.batches == 2
+    assert batcher.batched_jobs == len(jobs)
 
 
 def test_different_bundles_never_share_a_batch(batcher, make_sentence):
@@ -152,7 +194,7 @@ def test_close_resolves_pending_jobs(make_sentence):
             time.sleep(0.1)
             return super().tag(sentences)
 
-    batcher = MicroBatcher(max_size=2, max_wait_seconds=0.0)
+    batcher = MicroBatcher(max_size=2)
     bundle = FakeBundle(SlowTagger())
     jobs = [_job(bundle, make_sentence, f"p{i}") for i in range(6)]
     for job in jobs:

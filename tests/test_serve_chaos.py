@@ -215,7 +215,6 @@ def test_breaker_steps_down_ladder_and_recovers(tmp_path, registry):
         ServeConfig(
             breaker_threshold=2,
             breaker_cooldown_seconds=0.3,
-            batch_max_wait_seconds=0.0,
         ),
         faults=plan,
     )
@@ -270,7 +269,6 @@ def test_previous_rung_actually_serves_when_only_full_trips(
         ServeConfig(
             breaker_threshold=1,
             breaker_cooldown_seconds=30.0,  # full stays open
-            batch_max_wait_seconds=0.0,
         ),
         faults=plan,
     )
